@@ -143,6 +143,34 @@ def _add_term(d: dict, mono: TMono, s: Scalar) -> None:
             d[mono] = acc
 
 
+def _add_scaled(d: dict, x: TPoly, s=None) -> None:
+    """Add s*x (x itself when s is None) into the term dict d in place."""
+    if s is not None and x.terms:
+        s = x.pres.field.convert(s)
+    for mono, c in x.terms.items():
+        _add_term(d, mono, c if s is None else c * s)
+
+
+def _coeff_list(pres: "Presentation", acc: list) -> list[TPoly]:
+    """Coefficient list from per-power term dicts, trailing zeros trimmed."""
+    out = [TPoly(pres, d) for d in acc]
+    while out and out[-1].is_zero:
+        out.pop()
+    return out
+
+
+def skew_coeffs(coeffs: list, sign: int = 1) -> list[TPoly]:
+    """lambda -> -lambda - T on a coefficient list, times sign:
+    lambda^n X -> sum_k C(n,k) (-1)^n lambda^{n-k} T^k X.  An involution."""
+    if not coeffs:
+        return []
+    acc = [{} for _ in coeffs]
+    for n, X in enumerate(coeffs):
+        for k in range(n + 1):
+            _add_scaled(acc[n - k], apply_T(X, k), comb(n, k) * (-1) ** n * sign)
+    return _coeff_list(coeffs[0].pres, acc)
+
+
 def apply_T(x: TPoly, k: int = 1) -> TPoly:
     """k-fold derivation T, Leibniz over tensor factors.  T(1) = 0."""
     for _ in range(k):
@@ -158,8 +186,8 @@ def apply_T(x: TPoly, k: int = 1) -> TPoly:
 class Presentation:
     """Generator declarations plus a lambda-bracket table.
 
-    Treated as immutable once the bracket table is filled in; engines cache
-    against object identity.
+    Frozen once an Engine is built on it: engines cache against object
+    identity, so set_bracket raises from then on.
     """
 
     def __init__(self, generators, params=(), unknowns=(), name=None):
@@ -189,6 +217,7 @@ class Presentation:
                 raise AlgebraError("generator %r shadows a parameter" % (g.name,))
         self._table: dict[tuple[int, int], list[TPoly]] = {}
         self._pair_cache: dict[tuple[int, int], list[TPoly]] = {}
+        self.frozen = False
 
     def __repr__(self):
         return "Presentation(%s)" % (self.name or ",".join(g.name for g in self.generators))
@@ -268,7 +297,13 @@ class Presentation:
     # -- bracket table -------------------------------------------------------
 
     def set_bracket(self, a: str, b: str, coeffs: dict[int, TPoly]) -> None:
-        """Install [a_lambda b] as {lambda-power: TPoly coefficient}."""
+        """Install [a_lambda b] as {lambda-power: TPoly coefficient}.
+
+        Engines cache against the table, so it is an error once an Engine
+        has been built on this presentation."""
+        if self.frozen:
+            raise AlgebraError("cannot change the bracket table of %r: an "
+                               "Engine has been built on it" % (self,))
         i, j = self.gen_index[a], self.gen_index[b]
         top = max(coeffs) if coeffs else 0
         lst = [TPoly(self)] * (top + 1)
@@ -294,49 +329,51 @@ class Presentation:
         if key in self._table:
             out = self._table[key]
         elif (j, i) in self._table:
-            given = self._table[(j, i)]
             sign = -self.parity_sign(((RGen(i, 0),)), ((RGen(j, 0),)))
-            acc: list[dict] = [dict() for _ in range(len(given))]
-            for n, Y in enumerate(given):
-                for jj in range(n + 1):
-                    # lambda^n X -> sum_j C(n,j) (-1)^n lambda^{n-j} T^j X
-                    c = comb(n, jj) * (-1) ** n * sign
-                    shifted = apply_T(Y, jj).scale(c)
-                    for mono, s in shifted.terms.items():
-                        _add_term(acc[n - jj], mono, s)
-            out = [TPoly(self, d) for d in acc]
-            while out and out[-1].is_zero:
-                out.pop()
+            out = skew_coeffs(self._table[(j, i)], sign)
         else:
             out = []
         self._pair_cache[key] = out
         return out
 
-    def bracket_r(self, x: RGen, y: RGen, var: str = "lambda"):
-        """[T^m a_lambda T^n b] by sesquilinearity from the stored table."""
-        from .formal import LPoly
+    def bracket_r(self, x: RGen, y: RGen) -> list[TPoly]:
+        """[T^m a_lambda T^n b] by sesquilinearity from the stored table:
+        (-lambda)^m (lambda + T)^n [a_lambda b], as a coefficient list."""
         base = self.pair_coeffs(x.gen, y.gen)
-        acc: dict[int, TPoly] = {}
-        for k, X in enumerate(base):
-            if X.is_zero:
-                continue
-            # right slot: (lambda+T)^n, binomially
-            for jj in range(y.n + 1):
-                Y = apply_T(X, y.n - jj).scale(comb(y.n, jj))
-                if Y.is_zero:
-                    continue
-                kk = k + jj
-                acc[kk] = acc[kk] + Y if kk in acc else Y
-        # left slot: (-lambda)^m
+        acc = [{} for _ in range(len(base) + x.n + y.n)]
         sgn = (-1) ** x.n
-        out = {}
-        for k, X in acc.items():
-            X = X.scale(sgn)
-            if not X.is_zero:
-                out[(k + x.n,)] = X
-        return LPoly(self, (var,), out)
+        for k, X in enumerate(base):
+            for jj in range(y.n + 1):
+                _add_scaled(acc[k + jj + x.n], apply_T(X, y.n - jj),
+                            comb(y.n, jj) * sgn)
+        return _coeff_list(self, acc)
 
     # -- validation ----------------------------------------------------------
+
+    def table_violations(self, i: int, j: int):
+        """Yield (k, mono, rule, value, bound) for each monomial of the
+        lambda^k coefficient of [a_i lambda a_j] that breaks a table rule.
+
+        The rules are: degree < deg a_i + deg a_j; parity p_i + p_j; and,
+        when every weight is declared, weight w_i + w_j - k - 1.  Per k the
+        degree and parity violations come first, then the weight ones."""
+        gi, gj = self.generators[i], self.generators[j]
+        bound = gi.degree + gj.degree
+        want_parity = (gi.parity + gj.parity) & 1
+        for k, X in enumerate(self.pair_coeffs(i, j)):
+            for mono in X.terms:
+                d = self.mono_degree(mono)
+                if not d < bound:
+                    yield k, mono, "degree", d, bound
+                p = self.mono_parity(mono)
+                if p != want_parity:
+                    yield k, mono, "parity", p, want_parity
+            if self.weights_declared:
+                want_w = gi.weight + gj.weight - k - 1
+                for mono in X.terms:
+                    w = self.mono_weight(mono)
+                    if w != want_w:
+                        yield k, mono, "weight", w, want_w
 
     def validate(self) -> list[str]:
         """Structural table checks: grading, parity, weights, ansatz linearity.
@@ -344,31 +381,13 @@ class Presentation:
         Returns human-readable violation strings; empty means well formed.
         """
         out = []
-        for (i, j), lst in sorted(self._table.items()):
-            gi, gj = self.generators[i], self.generators[j]
-            bound = gi.degree + gj.degree
-            want_parity = (gi.parity + gj.parity) & 1
-            label = "[%s,%s]" % (gi.name, gj.name)
-            for k, X in enumerate(lst):
-                for mono in X.terms:
-                    d = self.mono_degree(mono)
-                    if not d < bound:
-                        out.append(
-                            "%s: lambda^%d term %s has degree %s, needs < %s"
-                            % (label, k, _mono_str(self, mono), d, bound))
-                    if self.mono_parity(mono) != want_parity:
-                        out.append(
-                            "%s: lambda^%d term %s has parity %d, expected %d"
-                            % (label, k, _mono_str(self, mono),
-                               self.mono_parity(mono), want_parity))
-                if self.weights_declared:
-                    want_w = gi.weight + gj.weight - k - 1
-                    for mono in X.terms:
-                        w = self.mono_weight(mono)
-                        if w != want_w:
-                            out.append(
-                                "%s: lambda^%d term %s has weight %s, expected %s"
-                                % (label, k, _mono_str(self, mono), w, want_w))
+        for i, j in sorted(self._table):
+            label = "[%s,%s]" % (self.generators[i].name, self.generators[j].name)
+            for k, mono, rule, value, bound in self.table_violations(i, j):
+                out.append("%s: lambda^%d term %s has %s %s, %s %s"
+                           % (label, k, _mono_str(self, mono), rule, value,
+                              "needs <" if rule == "degree" else "expected",
+                              bound))
         if self.unknowns:
             out.extend(self._validate_linearity())
         return out

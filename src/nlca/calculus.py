@@ -8,9 +8,11 @@ whose failure to be associative/Lie is measured by the structure defects,
 all of which land in the ideal generated by m_element instances and so
 vanish after normal ordering.
 
-Everything is memoized per presentation at the monomial level; bracket
-coefficients are held as dense lists indexed by the lambda-power, with the
-concrete variable name bound only when results are handed back.  In checked
+Everything is memoized per presentation at the monomial level.  A
+lambda-polynomial is a dense list of TPoly coefficients indexed by the
+lambda-power, the shape Presentation.bracket_r returns; sums are built in
+place in term dicts the caller owns, never in a memoized TPoly.  Only the
+public methods wrap a result in an LPoly, to name its variable.  In checked
 mode every memoized entry is verified against the degree bounds
 deg N(A,B) <= deg A + deg B and deg P(A,B) < deg A + deg B.
 """
@@ -21,7 +23,8 @@ import os
 from fractions import Fraction
 from math import comb
 
-from .algebra import Presentation, RGen, TMono, TPoly, _add_term, apply_T, render_tmono
+from .algebra import (Presentation, RGen, TMono, TPoly, _add_scaled,
+                      _coeff_list, apply_T, render_tmono, skew_coeffs)
 from .formal import LPoly
 
 
@@ -33,6 +36,7 @@ class Engine:
     def __init__(self, pres: Presentation, checked: bool = True,
                  memoize: bool = True, cache_limit: int | None = None):
         self.pres = pres
+        pres.frozen = True
         self.checked = checked
         self.memoize = memoize
         if cache_limit is None:
@@ -59,13 +63,7 @@ class Engine:
 
     def m_element(self, A: TPoly, b: RGen, c: RGen, D: TPoly) -> TPoly:
         """A (x) sn(b, c, D): a generating element of the PBW kernel ideal."""
-        pres = self.pres
-        bp = TPoly(pres, {(b,): pres.field.one})
-        cp = TPoly(pres, {(c,): pres.field.one})
-        sign = pres.parity_sign((b,), (c,))
-        sn = (self._n_poly(bp, self._n_poly(cp, D))
-              - self._n_poly(cp, self._n_poly(bp, D)).scale(sign)
-              - self._n_poly(self.lie(bp, cp), D))
+        sn = self.structure_defect("sn", self._mono((b,)), self._mono((c,)), D)
         return A.tensor(sn)
 
     def jacobiator(self, x: TPoly, y: TPoly, z: TPoly,
@@ -77,9 +75,9 @@ class Engine:
                 for C, sc in z.terms.items():
                     s = sa * sb * sc
                     for (i, j), W in self._jac_mono(A, B, C).items():
-                        _acc2(acc, (i, j), W.scale(s))
+                        _add_scaled(acc.setdefault((i, j), {}), W, s)
         return LPoly(self.pres, tuple(vars),
-                     {e: W for e, W in acc.items() if not W.is_zero})
+                     {e: TPoly(self.pres, d) for e, d in acc.items() if d})
 
     def structure_defect(self, kind: str, x: TPoly, y: TPoly, z: TPoly = None,
                          var: str = "lambda"):
@@ -100,8 +98,8 @@ class Engine:
         fn = {"sn": self._sn_mono, "wl": self._wl_mono,
               "wr": self._wr_mono, "q": self._q_mono}[kind]
         lists = kind in ("wl", "wr")
-        acc_list: list[TPoly] = []
-        acc_poly = self.pres.zero()
+        acc_list: list[dict] = []
+        acc_poly: dict = {}
         for A, sa in x.terms.items():
             for B, sb in y.terms.items():
                 for C, sc in z.terms.items():
@@ -109,21 +107,22 @@ class Engine:
                     r = fn(A, B, C)
                     if lists:
                         for m, X in enumerate(r):
-                            _lacc(acc_list, m, X.scale(s))
+                            _lacc(acc_list, m, X, s)
                     else:
-                        acc_poly = acc_poly + r.scale(s)
+                        _add_scaled(acc_poly, r, s)
         if lists:
-            return LPoly.from_coeff_list(self.pres, var, acc_list)
-        return acc_poly
+            return LPoly.from_coeff_list(self.pres, var,
+                                         _coeff_list(self.pres, acc_list))
+        return TPoly(self.pres, acc_poly)
 
     def _defect2(self, fn, x: TPoly, y: TPoly, var: str) -> LPoly:
-        acc: list[TPoly] = []
+        acc: list[dict] = []
         for A, sa in x.terms.items():
             for B, sb in y.terms.items():
                 s = sa * sb
                 for m, X in enumerate(fn(A, B)):
-                    _lacc(acc, m, X.scale(s))
-        return LPoly.from_coeff_list(self.pres, var, acc)
+                    _lacc(acc, m, X, s)
+        return LPoly.from_coeff_list(self.pres, var, _coeff_list(self.pres, acc))
 
     # -- monomial-level core -------------------------------------------------
 
@@ -131,23 +130,25 @@ class Engine:
         return TPoly(self.pres, {m: self.pres.field.one})
 
     def _n_poly(self, x: TPoly, y: TPoly) -> TPoly:
-        out = self.pres.zero()
+        out: dict = {}
+        self._n_into(out, x, y)
+        return TPoly(self.pres, out)
+
+    def _n_into(self, out: dict, x: TPoly, y: TPoly, s=None) -> None:
+        """Add s*N(x, y) into the term dict out."""
         for A, sa in x.terms.items():
             for B, sb in y.terms.items():
-                out = out + self._n(A, B).scale(sa * sb)
-        return out
+                c = sa * sb
+                _add_scaled(out, self._n(A, B), c if s is None else c * s)
 
     def _p_poly(self, x: TPoly, y: TPoly) -> list[TPoly]:
-        acc: list[TPoly] = []
+        acc: list[dict] = []
         for A, sa in x.terms.items():
             for B, sb in y.terms.items():
                 s = sa * sb
                 for m, X in enumerate(self._p(A, B)):
-                    if X:
-                        _lacc(acc, m, X.scale(s))
-        while acc and acc[-1].is_zero:
-            acc.pop()
-        return acc
+                    _lacc(acc, m, X, s)
+        return _coeff_list(self.pres, acc)
 
     def _n(self, A: TMono, B: TMono) -> TPoly:
         self.stats["n_calls"] += 1
@@ -165,17 +166,18 @@ class Engine:
         else:
             a, Ap = A[0], A[1:]
             sign = pres.parity_sign((a,), Ap)
-            out = _prepend(a, self._n(Ap, B))
+            d = _prepend(a, self._n(Ap, B)).terms
             a_poly = self._mono((a,))
             Ap_poly = self._mono(Ap)
             for m, X in enumerate(self._p(Ap, B)):
                 if X:
                     img = apply_T(a_poly, m + 1).scale(Fraction(1, m + 1))
-                    out = out + self._n_poly(img, X)
+                    self._n_into(d, img, X)
             for m, Y in enumerate(self._p((a,), B)):
                 if Y:
                     img = apply_T(Ap_poly, m + 1).scale(Fraction(sign, m + 1))
-                    out = out + self._n_poly(img, Y)
+                    self._n_into(d, img, Y)
+            out = TPoly(pres, d)
         if self.checked and out:
             bound = pres.mono_degree(A) + pres.mono_degree(B)
             for mono in out.terms:
@@ -198,7 +200,7 @@ class Engine:
         if not A or not B:
             out: list[TPoly] = []
         elif len(A) == 1 and len(B) == 1:
-            out = pres.bracket_r(A[0], B[0]).coeff_list()
+            out = pres.bracket_r(A[0], B[0])
         elif len(A) == 1:
             out = self._p_peel_right(A[0], B)
         else:
@@ -226,20 +228,19 @@ class Engine:
         pab = self._p((a,), (b,))
         paC = self._p((a,), C)
         C_poly = self._mono(C)
-        acc: list[TPoly] = []
+        acc: list[dict] = []
         for m, X in enumerate(pab):
             if X:
                 _lacc(acc, m, self._n_poly(X, C_poly))
         for m, Y in enumerate(paC):
             if Y:
-                _lacc(acc, m, _prepend(b, Y).scale(sign))
+                _lacc(acc, m, _prepend(b, Y), sign)
         for i, X in enumerate(pab):
             if not X:
                 continue
             for m, Wm in enumerate(self._p_poly(X, C_poly)):
-                if Wm:
-                    _lacc(acc, i + m + 1, Wm.scale(Fraction(1, m + 1)))
-        return acc
+                _lacc(acc, i + m + 1, Wm, Fraction(1, m + 1))
+        return _coeff_list(pres, acc)
 
     def _p_peel_left(self, a: RGen, Ap: TMono, B: TMono) -> list[TPoly]:
         """P(a (x) A', B), peeling the leftmost factor."""
@@ -249,7 +250,7 @@ class Engine:
         paB = self._p((a,), B)
         a_poly = self._mono((a,))
         Ap_poly = self._mono(Ap)
-        acc: list[TPoly] = []
+        acc: list[dict] = []
         for m, X in enumerate(pApB):
             if not X:
                 continue
@@ -270,10 +271,8 @@ class Engine:
                 cnk = comb(n, k) * ((-1) ** (n - k)) * sign
                 j = n - k
                 for m, Wm in enumerate(Wlist):
-                    if Wm:
-                        _lacc(acc, k + j + m + 1,
-                              Wm.scale(Fraction(cnk, j + m + 1)))
-        return acc
+                    _lacc(acc, k + j + m + 1, Wm, Fraction(cnk, j + m + 1))
+        return _coeff_list(pres, acc)
 
     def _jac_mono(self, A: TMono, B: TMono, C: TMono) -> dict:
         pres = self.pres
@@ -283,15 +282,13 @@ class Engine:
             if not Z:
                 continue
             for i, W in enumerate(self._p_poly(A_poly, Z)):
-                if W:
-                    _acc2(acc, (i, j), W)
+                _add_scaled(acc.setdefault((i, j), {}), W)
         sign = pres.parity_sign(A, B)
         for i, Z in enumerate(self._p(A, C)):
             if not Z:
                 continue
             for j, W in enumerate(self._p_poly(B_poly, Z)):
-                if W:
-                    _acc2(acc, (i, j), W.scale(-sign))
+                _add_scaled(acc.setdefault((i, j), {}), W, -sign)
         C_poly = self._mono(C)
         for i, Z in enumerate(self._p(A, B)):
             if not Z:
@@ -300,52 +297,53 @@ class Engine:
                 if not W:
                     continue
                 for k in range(n + 1):
-                    _acc2(acc, (i + k, n - k), W.scale(-comb(n, k)))
-        return {e: W for e, W in acc.items() if not W.is_zero}
+                    _add_scaled(acc.setdefault((i + k, n - k), {}), W,
+                                -comb(n, k))
+        return {e: TPoly(pres, d) for e, d in acc.items() if d}
 
     # -- defect kernels ------------------------------------------------------
 
     def _sl_mono(self, A: TMono, B: TMono) -> list[TPoly]:
-        acc: list[TPoly] = []
+        acc: list[dict] = []
         for m, X in enumerate(self._p(A, B)):
             _lacc(acc, m, X)
         sign = self.pres.parity_sign(A, B)
-        for m, X in _subst_neg_list(self._p(B, A)):
-            _lacc(acc, m, X.scale(sign))
-        return acc
+        for m, X in enumerate(skew_coeffs(self._p(B, A), sign)):
+            _lacc(acc, m, X)
+        return _coeff_list(self.pres, acc)
 
     def _sn_mono(self, A: TMono, B: TMono, C: TMono) -> TPoly:
         A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)
         sign = self.pres.parity_sign(A, B)
-        return (self._n_poly(A_poly, self._n_poly(B_poly, C_poly))
-                - self._n_poly(B_poly, self._n_poly(A_poly, C_poly)).scale(sign)
-                - self._n_poly(_int_minus_T(self.pres, self._p(A, B)), C_poly))
+        out: dict = {}
+        self._n_into(out, A_poly, self._n_poly(B_poly, C_poly))
+        self._n_into(out, B_poly, self._n_poly(A_poly, C_poly), -sign)
+        self._n_into(out, _int_minus_T(self.pres, self._p(A, B)), C_poly, -1)
+        return TPoly(self.pres, out)
 
     def _wl_mono(self, A: TMono, B: TMono, C: TMono) -> list[TPoly]:
         pres = self.pres
         A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)
         sign = pres.parity_sign(A, B)
-        acc: list[TPoly] = []
+        acc: list[dict] = []
         for m, X in enumerate(self._p_poly(A_poly, self._n(B, C))):
             _lacc(acc, m, X)
-        pAB = self._p(A, B)
-        for i, X in enumerate(pAB):
+        for i, X in enumerate(self._p(A, B)):
             if not X:
                 continue
             for m, Wm in enumerate(self._p_poly(X, C_poly)):
-                if Wm:
-                    _lacc(acc, i + m + 1, Wm.scale(Fraction(-1, m + 1)))
-            _lacc(acc, i, -self._n_poly(X, C_poly))
+                _lacc(acc, i + m + 1, Wm, Fraction(-1, m + 1))
+            _lacc(acc, i, self._n_poly(X, C_poly), -1)
         for i, Y in enumerate(self._p(A, C)):
             if Y:
-                _lacc(acc, i, self._n_poly(B_poly, Y).scale(-sign))
-        return acc
+                _lacc(acc, i, self._n_poly(B_poly, Y), -sign)
+        return _coeff_list(pres, acc)
 
     def _wr_mono(self, A: TMono, B: TMono, C: TMono) -> list[TPoly]:
         pres = self.pres
         A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)
         sign = pres.parity_sign(A, B)
-        acc: list[TPoly] = []
+        acc: list[dict] = []
         for m, X in enumerate(self._p_poly(self._n(A, B), C_poly)):
             _lacc(acc, m, X)
         for n, Y in enumerate(self._p(A, C)):
@@ -356,9 +354,8 @@ class Engine:
                 cnk = comb(n, k) * ((-1) ** (n - k))
                 j = n - k
                 for m, Wm in enumerate(Wlist):
-                    if Wm:
-                        _lacc(acc, k + j + m + 1,
-                              Wm.scale(Fraction(-sign * cnk, j + m + 1)))
+                    _lacc(acc, k + j + m + 1, Wm,
+                          Fraction(-sign * cnk, j + m + 1))
         for m, X in enumerate(self._p(B, C)):
             if not X:
                 continue
@@ -371,23 +368,24 @@ class Engine:
             for k in range(m + 1):
                 img = apply_T(B_poly, k).scale(-sign * comb(m, k))
                 _lacc(acc, m - k, self._n_poly(img, Y))
-        return acc
+        return _coeff_list(pres, acc)
 
     def _q_mono(self, A: TMono, B: TMono, C: TMono) -> TPoly:
         pres = self.pres
         A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)
         sign = pres.parity_sign(A, B)
-        out = (self._n_poly(self._n(A, B), C_poly)
-               - self._n_poly(A_poly, self._n(B, C)))
+        out: dict = {}
+        self._n_into(out, self._n(A, B), C_poly)
+        self._n_into(out, A_poly, self._n(B, C), -1)
         for m, X in enumerate(self._p(B, C)):
             if X:
                 img = apply_T(A_poly, m + 1).scale(Fraction(1, m + 1))
-                out = out - self._n_poly(img, X)
+                self._n_into(out, img, X, -1)
         for m, Y in enumerate(self._p(A, C)):
             if Y:
                 img = apply_T(B_poly, m + 1).scale(Fraction(sign, m + 1))
-                out = out - self._n_poly(img, Y)
-        return out
+                self._n_into(out, img, Y, -1)
+        return TPoly(pres, out)
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -403,30 +401,17 @@ def _prepend(rg: RGen, x: TPoly) -> TPoly:
     return TPoly(x.pres, {(rg,) + mono: s for mono, s in x.terms.items()})
 
 
-def _lacc(acc: list, m: int, x: TPoly) -> None:
+def _lacc(acc: list, m: int, x: TPoly, s=None) -> None:
+    """Add s*x into the lambda^m slot of a list of owned term dicts."""
     while len(acc) <= m:
-        acc.append(x.pres.zero())
-    acc[m] = acc[m] + x
-
-
-def _acc2(acc: dict, key, x: TPoly) -> None:
-    cur = acc.get(key)
-    acc[key] = x if cur is None else cur + x
+        acc.append({})
+    _add_scaled(acc[m], x, s)
 
 
 def _int_minus_T(pres: Presentation, coeffs: list) -> TPoly:
     """sum_m (-1)^m T^{m+1}(X_m)/(m+1): the bracket integral over [-T, 0]."""
-    out = pres.zero()
+    out: dict = {}
     for m, X in enumerate(coeffs):
         if X:
-            out = out + apply_T(X, m + 1).scale(Fraction((-1) ** m, m + 1))
-    return out
-
-
-def _subst_neg_list(coeffs: list):
-    """lambda -> -lambda - T on a coefficient list; yields (power, TPoly)."""
-    for n, X in enumerate(coeffs):
-        if not X:
-            continue
-        for k in range(n + 1):
-            yield n - k, apply_T(X, k).scale(comb(n, k) * (-1) ** n)
+            _add_scaled(out, apply_T(X, m + 1), Fraction((-1) ** m, m + 1))
+    return TPoly(pres, out)

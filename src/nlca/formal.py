@@ -1,39 +1,20 @@
-"""Polynomials in formal lambda-variables with TPoly coefficients.
+"""Named lambda-polynomials with TPoly coefficients, for results and display.
 
 An LPoly is a finite sum  sum_e  lambda_1^{e_1} ... lambda_r^{e_r} X_e
-with X_e a TPoly.  The variable names come from a fixed pool (lambda, mu,
-nu, lambda4, ...) assigned outward-in by bracket nesting depth; every
-operation keeps the variable tuple explicit, so coefficients can be read
-off positionally.
-
-The calculus here is what the bracket recursion consumes: definite
-integrals with upper limit a variable, with upper limit T (as coefficient
-pairs), and over [-T, 0]; the substitution lambda -> -lambda - T; binomial
-expansion of one variable into a sum or difference of two; divided-power
-expansion of e^{T d/dlambda} against a single lambda-slot.
+with X_e a TPoly and an explicit tuple of variable names.  The engine
+computes with dense coefficient lists (index = lambda-power) and wraps a
+result in an LPoly only to hand it back: a one-variable LPoly for
+pbracket and the sl/wl/wr defects, a two-variable one for the
+jacobiator.  Arithmetic here is what callers of those results need:
+sums, scaling, multiplying by a variable, mapping the coefficients, and
+rendering.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
-
 from .algebra import (
-    AlgebraError, Presentation, TPoly, apply_T, mono_sort_key, render_tmono,
+    AlgebraError, Presentation, TPoly, mono_sort_key, render_tmono,
     scalar_prefix)
-
-VAR_POOL = ("lambda", "mu", "nu") + tuple("lambda%d" % i for i in range(4, 17))
-
-
-def pool_var(depth: int) -> str:
-    return VAR_POOL[depth]
-
-
-def _var_order(name: str):
-    try:
-        return (0, VAR_POOL.index(name))
-    except ValueError:
-        return (1, name)
 
 
 class LPoly:
@@ -44,13 +25,6 @@ class LPoly:
         self.pres = pres
         self.vars = tuple(vars)
         self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def from_tpoly(cls, x: TPoly, vars: tuple[str, ...] = ()) -> "LPoly":
-        t = {}
-        if not x.is_zero:
-            t[(0,) * len(vars)] = x
-        return cls(x.pres, vars, t)
 
     @classmethod
     def from_coeff_list(cls, pres: Presentation, var: str, coeffs) -> "LPoly":
@@ -130,170 +104,11 @@ class LPoly:
     def coeff(self, exps) -> TPoly:
         return self.terms.get(tuple(exps), self.pres.zero())
 
-    def constant(self) -> TPoly:
-        return self.coeff((0,) * len(self.vars))
-
-    def to_tpoly(self) -> TPoly:
-        if any(any(e) for e in self.terms):
-            raise AlgebraError("nonconstant in its variables")
-        return self.constant()
-
-    def var_degree(self, var: str) -> int:
-        vi = self.vars.index(var)
-        return max((e[vi] for e in self.terms), default=0)
-
-    def with_vars(self, vars: tuple[str, ...]) -> "LPoly":
-        """Reindex onto a variable tuple that contains all current vars."""
-        vars = tuple(vars)
-        pos = [vars.index(v) for v in self.vars]
-        out = {}
-        for e, X in self.terms.items():
-            e2 = [0] * len(vars)
-            for i, k in enumerate(e):
-                e2[pos[i]] = k
-            out[tuple(e2)] = X
-        return LPoly(self.pres, vars, out)
-
     def __str__(self):
         return render_lpoly(self)
 
     def __repr__(self):
         return "LPoly(%s)" % (self,)
-
-
-def integrate_upper(p: LPoly, var: str, upper):
-    """Definite integral of p in `var` from 0.
-
-    upper = a variable name: ordinary integration, var^m -> upper^{m+1}/(m+1);
-    upper = "T": returns the (m, X_m) coefficient pairs of p in var, for the
-    caller to pair X_m against T^{m+1}/(m+1) applied to its other operand;
-    upper = None: integral over [-T, 0], var^m X -> (-1)^m T^{m+1} X/(m+1).
-    """
-    vi = p.vars.index(var)
-    rest = p.vars[:vi] + p.vars[vi + 1:]
-    if upper == "T":
-        if p.vars != (var,):
-            raise AlgebraError("coefficient-pair integration needs a univariate operand")
-        return [(e[0], X) for e, X in sorted(p.terms.items())]
-    if upper is None:
-        out = {}
-        for e, X in p.terms.items():
-            m = e[vi]
-            Y = apply_T(X, m + 1).scale(Fraction((-1) ** m, m + 1))
-            if not Y.is_zero:
-                e2 = e[:vi] + e[vi + 1:]
-                acc = out.get(e2)
-                acc = Y if acc is None else acc + Y
-                if acc.is_zero:
-                    out.pop(e2, None)
-                else:
-                    out[e2] = acc
-        return LPoly(p.pres, rest, out)
-    # upper is a variable name
-    if upper in rest:
-        tvars = rest
-        ui = rest.index(upper)
-    else:
-        tvars = tuple(sorted(rest + (upper,), key=_var_order))
-        ui = tvars.index(upper)
-    pos = [tvars.index(v) for v in rest]
-    out = {}
-    for e, X in p.terms.items():
-        m = e[vi]
-        e_rest = e[:vi] + e[vi + 1:]
-        e2 = [0] * len(tvars)
-        for i, k in enumerate(e_rest):
-            e2[pos[i]] = k
-        e2[ui] += m + 1
-        Y = X.scale(Fraction(1, m + 1))
-        acc_key = tuple(e2)
-        acc = out.get(acc_key)
-        acc = Y if acc is None else acc + Y
-        out[acc_key] = acc
-    return LPoly(p.pres, tvars, {e: X for e, X in out.items() if not X.is_zero})
-
-
-def differentiate(p: LPoly, var: str) -> LPoly:
-    vi = p.vars.index(var)
-    out = {}
-    for e, X in p.terms.items():
-        m = e[vi]
-        if m == 0:
-            continue
-        e2 = e[:vi] + (m - 1,) + e[vi + 1:]
-        Y = X.scale(m)
-        acc = out.get(e2)
-        out[e2] = Y if acc is None else acc + Y
-    return LPoly(p.pres, p.vars, {e: X for e, X in out.items() if not X.is_zero})
-
-
-def subst_neg_lambda_minus_T(p: LPoly, var: str) -> LPoly:
-    """Substitute var -> -var - T, with T acting on the coefficients.
-
-    var^n X -> sum_k C(n,k) (-1)^n var^{n-k} T^k X.  An involution.
-    """
-    vi = p.vars.index(var)
-    out = {}
-    for e, X in p.terms.items():
-        n = e[vi]
-        for k in range(n + 1):
-            Y = apply_T(X, k).scale(comb(n, k) * (-1) ** n)
-            if Y.is_zero:
-                continue
-            e2 = e[:vi] + (n - k,) + e[vi + 1:]
-            acc = out.get(e2)
-            acc = Y if acc is None else acc + Y
-            if acc.is_zero:
-                out.pop(e2, None)
-            else:
-                out[e2] = acc
-    return LPoly(p.pres, p.vars, out)
-
-
-def expand_var_to_pair(p: LPoly, var: str, v1: str, v2: str, sign2: int = 1) -> LPoly:
-    """Substitute var -> v1 + sign2*v2 binomially."""
-    vi = p.vars.index(var)
-    rest = p.vars[:vi] + p.vars[vi + 1:]
-    tvars = tuple(rest)
-    for v in (v1, v2):
-        if v not in tvars:
-            tvars = tuple(sorted(tvars + (v,), key=_var_order))
-    pos = [tvars.index(v) for v in rest]
-    i1, i2 = tvars.index(v1), tvars.index(v2)
-    out = {}
-    for e, X in p.terms.items():
-        n = e[vi]
-        e_rest = e[:vi] + e[vi + 1:]
-        base = [0] * len(tvars)
-        for i, k in enumerate(e_rest):
-            base[pos[i]] = k
-        for k in range(n + 1):
-            c = comb(n, k) * (sign2 ** (n - k))
-            e2 = list(base)
-            e2[i1] += k
-            e2[i2] += n - k
-            Y = X.scale(c)
-            key = tuple(e2)
-            acc = out.get(key)
-            acc = Y if acc is None else acc + Y
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return LPoly(p.pres, tvars, out)
-
-
-def exp_T_dlambda_expand(a: TPoly, m: int) -> list[tuple[int, TPoly]]:
-    """Expand e^{T d/dlambda} against a divided power slot lambda^{(m)}.
-
-    Returns the pairs (m-k, T^{(k)} a): lambda^{(m)} a becomes
-    sum_k lambda^{(m-k)} (T^k a / k!).
-    """
-    out = []
-    for k in range(m + 1):
-        img = apply_T(a, k).scale(Fraction(1, factorial(k)))
-        out.append((m - k, img))
-    return out
 
 
 # -- rendering ---------------------------------------------------------------

@@ -10,7 +10,8 @@ A source file is a sequence of `;`-terminated statements:
 Tensor monomials are written `:T^2 L W:` (or `1` for the empty monomial);
 scalars are rational expressions in the declared params/unknowns.  `#`
 starts a comment.  Only one bracket orientation per pair needs to be
-given; the other is derived by skewsymmetry.
+given; the other is derived by skewsymmetry.  An exponent `^k` (on lambda,
+T or a scalar) and the lambda-power of a term are at most MAX_POWER.
 """
 
 from fractions import Fraction
@@ -162,6 +163,11 @@ def _show(t: Token) -> str:
 
 _RESERVED = ("T", "lambda")
 
+# Bound on every `^k` and on a term's lambda-power.  Coefficient lists are
+# dense in the lambda-power and deriving the skew orientation costs its
+# square, so an unbounded exponent would let a short file run for minutes.
+MAX_POWER = 100
+
 
 def _rational(ts: _TokenStream) -> Fraction:
     sign = -1 if ts.take_op("-") else 1
@@ -225,6 +231,9 @@ class _ExprParser:
                 if not self.allow_lambda:
                     ts.error(t, "lambda is not allowed in this expression")
                 lampow += self._opt_power()
+                if lampow > MAX_POWER:
+                    ts.error(t, "lambda power %d exceeds the limit %d"
+                             % (lampow, MAX_POWER))
             elif t.kind == "name" and t.text in self.pres.gen_index:
                 ts.next()
                 if mono is not None:
@@ -243,9 +252,13 @@ class _ExprParser:
         return lampow, self.pres.poly({mono if mono is not None else (): scalar})
 
     def _opt_power(self) -> int:
-        if self.ts.take_op("^"):
-            return self.ts.expect_int()
-        return 1
+        if not self.ts.take_op("^"):
+            return 1
+        t = self.ts.peek()
+        k = self.ts.expect_int()
+        if k > MAX_POWER:
+            self.ts.error(t, "exponent %d exceeds the limit %d" % (k, MAX_POWER))
+        return k
 
     def _scalar_factor(self):
         ts = self.ts

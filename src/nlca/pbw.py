@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import Presentation, RGen, TMono, TPoly, render_tmono
+from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
 from .calculus import CalculusError, Engine
 
 
@@ -48,10 +48,10 @@ class Reducer:
         self.descent_checks = 0
 
     def normal_order(self, x: TPoly) -> TPoly:
-        out = self.pres.zero()
+        out: dict = {}
         for mono, s in x.terms.items():
-            out = out + self._no(mono).scale(s)
-        return out
+            _add_scaled(out, self._no(mono), s)
+        return TPoly(self.pres, out)
 
     def normal_order_lpoly(self, p):
         return p.map_coeffs(self.normal_order)
@@ -78,7 +78,8 @@ class Reducer:
                 sign = pres.parity_sign((a,), (b,))
                 if self.checked:
                     self._monitor(E, swapped, corr)
-                out = self._no(swapped).scale(sign) + self.normal_order(corr)
+                out = self.normal_order(corr)
+                _add_scaled(out.terms, self._no(swapped), sign)
             else:
                 # adjacent repeat of an odd generator
                 if self.checked:

@@ -110,6 +110,25 @@ def check_skew(pres: Presentation, engine: Engine | None = None) -> CheckResult:
     return _timed(run)
 
 
+def _rule_check(pres: Presentation, name: str, rules) -> CheckResult:
+    """One witness per ordered generator pair and lambda-power whose
+    coefficient has monomials breaking one of `rules` of the table."""
+    res = CheckResult(name, "pass")
+    for gi in pres.generators:
+        for gj in pres.generators:
+            coeffs = pres.pair_coeffs(gi.index, gj.index)
+            bad: dict = {}
+            for k, mono, rule, _, _ in pres.table_violations(gi.index, gj.index):
+                if rule in rules:
+                    bad.setdefault(k, {})[mono] = coeffs[k].terms[mono]
+            for k in sorted(bad):
+                res.status = "fail"
+                res.witnesses.append(Witness(
+                    (gi.name, gj.name), "lambda^%d" % k,
+                    render_tpoly(TPoly(pres, bad[k]))))
+    return res
+
+
 def check_weights(pres: Presentation) -> CheckResult:
     """Every lambda^k coefficient of [a_i lambda a_j], in either orientation,
     must be weight-homogeneous of weight w_i + w_j - k - 1."""
@@ -117,42 +136,13 @@ def check_weights(pres: Presentation) -> CheckResult:
         if not pres.weights_declared:
             return CheckResult("weights", "skipped",
                                notes=["conformal weights not declared"])
-        res = CheckResult("weights", "pass")
-        for gi in pres.generators:
-            for gj in pres.generators:
-                coeffs = pres.pair_coeffs(gi.index, gj.index)
-                for k, X in enumerate(coeffs):
-                    want = gi.weight + gj.weight - k - 1
-                    bad = {m: s for m, s in X.terms.items()
-                           if pres.mono_weight(m) != want}
-                    if bad:
-                        res.status = "fail"
-                        res.witnesses.append(Witness(
-                            (gi.name, gj.name), "lambda^%d" % k,
-                            render_tpoly(TPoly(pres, bad))))
-        return res
+        return _rule_check(pres, "weights", ("weight",))
     return _timed(run)
 
 
 def check_grading(pres: Presentation) -> CheckResult:
     """Strict degree drop and parity preservation for both orientations."""
-    def run():
-        res = CheckResult("grading", "pass")
-        for gi in pres.generators:
-            for gj in pres.generators:
-                bound = gi.degree + gj.degree
-                parity = (gi.parity + gj.parity) & 1
-                for k, X in enumerate(pres.pair_coeffs(gi.index, gj.index)):
-                    bad = {m: s for m, s in X.terms.items()
-                           if not (pres.mono_degree(m) < bound
-                                   and pres.mono_parity(m) == parity)}
-                    if bad:
-                        res.status = "fail"
-                        res.witnesses.append(Witness(
-                            (gi.name, gj.name), "lambda^%d" % k,
-                            render_tpoly(TPoly(pres, bad))))
-        return res
-    return _timed(run)
+    return _timed(lambda: _rule_check(pres, "grading", ("degree", "parity")))
 
 
 def check_jacobi(pres: Presentation, engine: Engine | None = None,

@@ -243,6 +243,30 @@ def test_memoization_transparent(presentations):
         assert cold.stats["n_hits"] + cold.stats["p_hits"] == 0
 
 
+def test_memo_entries_unchanged_by_reuse(presentations):
+    # results are accumulated in place; a memoized TPoly must never be
+    # the accumulator
+    rng = random.Random(17)
+    for name in ("virasoro", "affine_sl2", "free_fermion"):
+        p = presentations[name]
+        e = Engine(p)
+        x, y = random_tensor(p, rng), random_tensor(p, rng)
+        e.nprod(x, y)
+        e.pbracket(x, y)
+        n_snap = {k: dict(v.terms) for k, v in e._nmemo.items()}
+        p_snap = {k: [dict(X.terms) for X in v] for k, v in e._pmemo.items()}
+        for _ in range(3):
+            e.nprod(x, y)
+            e.nprod(x + y, y)
+            e.pbracket(x, y)
+            e.lie(x, y)
+        assert e.stats["n_hits"] > 0 and e.stats["p_hits"] > 0
+        for k, terms in n_snap.items():
+            assert e._nmemo[k].terms == terms
+        for k, lst in p_snap.items():
+            assert [X.terms for X in e._pmemo[k]] == lst
+
+
 def test_bilinearity(presentations, engines):
     rng = random.Random(14)
     for name in ("virasoro", "free_boson"):

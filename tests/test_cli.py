@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
+import nlca
 from nlca.algebra import Presentation
 from nlca.calculus import Engine
 from nlca.cli import main
@@ -89,6 +93,24 @@ def test_check_perturbed_structure_constant(tmp_path, capsys):
     assert "skew       pass" in out
     assert "jacobi     fail" in out
     assert "witness [" in out
+
+
+def test_check_exponent_limit(tmp_path):
+    # one past the limit is a located diagnostic and exit 2, not a traceback
+    gen = "generator L parity=even degree=2;\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+    for power, code in ((101, 2), (100, 1)):
+        f = tmp_path / ("pow%d.nlca" % power)
+        f.write_text(gen + "bracket [L,L] = lambda^%d*1;\n" % power)
+        proc = subprocess.run([sys.executable, "-m", "nlca", "check", str(f)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stderr == \
+                "%s:2:24: exponent 101 exceeds the limit 100\n" % f
+        else:
+            assert "witness [L, L]: 2*lambda^100*1" in proc.stdout
 
 
 # -- ope / reduce ------------------------------------------------------------

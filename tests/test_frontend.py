@@ -122,6 +122,10 @@ BAD_SOURCES = [
      ["f.nlca:1:34: zero denominator"]),
     ("generator L parity=even degree=2 spin=2;\n",
      ["f.nlca:1:34: unknown generator attribute 'spin'"]),
+    (GEN_L + "bracket [L,L] = lambda^101*1;\n",
+     ["f.nlca:2:24: exponent 101 exceeds the limit 100"]),
+    (GEN_L + "bracket [L,L] = lambda^60*lambda^50*1;\n",
+     ["f.nlca:2:27: lambda power 110 exceeds the limit 100"]),
 ]
 
 

@@ -191,6 +191,23 @@ def test_normal_form_is_strategy_independent(presentations, engines, reducers):
 
 # -- the descent monitor -----------------------------------------------------
 
+def test_memo_entries_unchanged_by_reuse(presentations):
+    rng = random.Random(18)
+    for name in ("virasoro", "free_fermion", "affine_sl2"):
+        p = presentations[name]
+        red = Reducer(Engine(p))
+        xs = [random_tensor(p, rng) for _ in range(3)]
+        for x in xs:
+            red.normal_order(x)
+        snap = {E: dict(v.terms) for E, v in red._memo.items()}
+        for _ in range(2):
+            for x in xs:
+                red.normal_order(x)
+                red.normal_order(x + x)
+        for E, terms in snap.items():
+            assert red._memo[E].terms == terms
+
+
 def test_descent_monitor_counts(virasoro):
     p = virasoro
     red = Reducer(Engine(p))
