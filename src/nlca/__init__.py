@@ -13,7 +13,7 @@ from .ansatz import AnsatzError, extract_system, solve_and_substitute
 from .calculus import CalculusError, Engine
 from .formal import LPoly, render_lpoly
 from .frontend import (ParseError, load_bundled, parse_expression, parse_path,
-                       parse_source, render_presentation)
+                       parse_scalar, parse_source, render_presentation)
 from .pbw import (PBWError, Reducer, character, enumerate_basis, inversions,
                   is_normally_ordered)
 from .scalars import LinearSystem, Scalar, ScalarError, nullspace, scalar_field
@@ -27,7 +27,7 @@ __all__ = [
     "Presentation", "RGen", "Reducer", "Report", "Scalar", "ScalarError",
     "TPoly", "apply_T", "character", "enumerate_basis", "extract_system",
     "inversions", "is_normally_ordered", "load_bundled", "nullspace",
-    "parse_expression", "parse_path", "parse_source", "render_lpoly",
-    "render_presentation", "render_tmono", "render_tpoly", "run_all",
-    "scalar_field", "solve_and_substitute",
+    "parse_expression", "parse_path", "parse_scalar", "parse_source",
+    "render_lpoly", "render_presentation", "render_tmono", "render_tpoly",
+    "run_all", "scalar_field", "solve_and_substitute",
 ]

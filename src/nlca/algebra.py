@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .scalars import Scalar, ScalarError, scalar_field
+from .scalars import Scalar, affine_defects, scalar_field
 
 
 class AlgebraError(Exception):
@@ -394,20 +394,16 @@ class Presentation:
 
     def _validate_linearity(self) -> list[str]:
         out = []
-        fld = self.field
-        ugens = [fld._field.ring.gens[fld.params.index(u)] for u in self.unknowns]
-        upos = [fld.params.index(u) for u in self.unknowns]
         for (i, j), lst in sorted(self._table.items()):
             label = "[%s,%s]" % (self.generators[i].name, self.generators[j].name)
             for k, X in enumerate(lst):
                 for mono, s in X.terms.items():
-                    for exps, _ in s.raw.numer.terms():
-                        if sum(exps[p] for p in upos) > 1:
-                            out.append(
-                                "%s: lambda^%d coefficient of %s is not affine "
-                                "in the unknowns" % (label, k, _mono_str(self, mono)))
-                            break
-                    if any(s.raw.denom.degree(g) > 0 for g in ugens):
+                    nonaffine, in_den = affine_defects(s, self.unknowns)
+                    if nonaffine:
+                        out.append(
+                            "%s: lambda^%d coefficient of %s is not affine "
+                            "in the unknowns" % (label, k, _mono_str(self, mono)))
+                    if in_den:
                         out.append(
                             "%s: lambda^%d coefficient of %s has an unknown in "
                             "its denominator" % (label, k, _mono_str(self, mono)))

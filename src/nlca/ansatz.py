@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .algebra import Presentation, TPoly
 from .calculus import Engine
+from .frontend import parse_scalar
 from .pbw import Reducer
 from .scalars import (
     LinearSystem, Scalar, ScalarError, affine_split, nullspace, scalar_field)
@@ -117,17 +118,16 @@ def solve_and_substitute(pres: Presentation, system: LinearSystem,
     """Solve a one-dimensional system by pinning one unknown's value.
 
     pin = (unknown name, value); the value may be an int, Fraction, Scalar
-    over Q(params), or a string parsed in that field.
+    over Q(params), or a string in the scalar grammar of the file format
+    (a bad one raises ParseError with `<pin>` locations).
     """
     name, val = pin
     if name not in system.unknowns:
         raise AnsatzError("%r is not an unknown of the system" % (name,))
     target = system.field
     if isinstance(val, str):
-        val = target.parse(val)
-    elif isinstance(val, (int, Fraction)):
-        val = target.convert(val)
-    elif isinstance(val, Scalar):
+        val = parse_scalar(target, val, "<pin>")
+    elif isinstance(val, (int, Fraction, Scalar)):
         val = target.convert(val)
     else:
         raise AnsatzError("cannot interpret pin value %r" % (val,))

@@ -159,10 +159,7 @@ def _cmd_solve(args):
     else:
         skipped = []
         system = extract_system(pres, nonlinear="skip", skipped=skipped)
-    try:
-        res = solve_and_substitute(pres, system, pin=(pin_name, pin_val))
-    except ScalarError as ex:
-        raise _InputError("--pin value: %s" % ex)
+    res = solve_and_substitute(pres, system, pin=(pin_name, pin_val))
     if args.json:
         _emit({"presentation": pres.name,
                "values": {u: str(res.values[u]) for u in pres.unknowns},

@@ -11,16 +11,19 @@ Tensor monomials are written `:T^2 L W:` (or `1` for the empty monomial);
 scalars are rational expressions in the declared params/unknowns.  `#`
 starts a comment.  Only one bracket orientation per pair needs to be
 given; the other is derived by skewsymmetry.  An exponent `^k` (on lambda,
-T or a scalar) and the lambda-power of a term are at most MAX_POWER.
+T or a scalar) and the lambda-power of a term are at most MAX_POWER; a
+scalar's size is bounded by MAX_SCALAR_SIZE and its parenthesis nesting by
+MAX_NESTING.  parse_scalar reads the same scalar grammar on its own.
 """
 
+import operator
 from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
 from .algebra import Presentation, TPoly
 from .formal import LPoly, render_lpoly
-from .scalars import ScalarError
+from .scalars import Scalar, ScalarError, ScalarField
 
 
 class Diagnostic(NamedTuple):
@@ -125,11 +128,13 @@ class _TokenStream:
         t = self.peek()
         return t.kind == "op" and t.text == text
 
-    def take_op(self, text: str) -> bool:
-        if self.at_op(text):
+    def take_op(self, *texts: str) -> Token | None:
+        """The next token if it is one of the operators `texts`."""
+        t = self.peek()
+        if t.kind == "op" and t.text in texts:
             self.pos += 1
-            return True
-        return False
+            return t
+        return None
 
     def error(self, tok: Token, message: str):
         self.diags.append(Diagnostic(self.file, tok.line, tok.col, message))
@@ -168,6 +173,19 @@ _RESERVED = ("T", "lambda")
 # square, so an unbounded exponent would let a short file run for minutes.
 MAX_POWER = 100
 
+# Bound on the size of parsed scalars, measured by Scalar.complexity().  The
+# grammar applies + - * / to a and b, and multiplies out `x^k`, only if
+# a.complexity() * b.complexity() is at most this: the product bounds the
+# result's size, so no step can build something larger.  A bound on degrees
+# alone would let `(a+b+c+1)^100`, of degree 100, expand to 176,851 terms.
+MAX_SCALAR_SIZE = 1000
+
+# Bound on nested parentheses in a scalar; the grammar recurses once a level.
+MAX_NESTING = 50
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
 
 def _rational(ts: _TokenStream) -> Fraction:
     sign = -1 if ts.take_op("-") else 1
@@ -181,43 +199,49 @@ def _rational(ts: _TokenStream) -> Fraction:
 
 
 class _ExprParser:
-    """Parses bracket right-hand sides and CLI operand expressions."""
+    """Parses bracket right-hand sides, CLI operand expressions and scalars.
 
-    def __init__(self, ts: _TokenStream, pres: Presentation,
-                 allow_lambda: bool):
+    The scalar grammar reads only `field`; `pres` may be None when a bare
+    scalar is parsed.
+    """
+
+    def __init__(self, ts: _TokenStream, field: ScalarField,
+                 pres: Presentation | None = None, allow_lambda: bool = False):
         self.ts = ts
+        self.field = field
         self.pres = pres
         self.allow_lambda = allow_lambda
+        self.depth = 0
 
     def expression(self) -> dict[int, TPoly]:
         ts = self.ts
-        out: dict[int, TPoly] = {}
-        neg = ts.take_op("-")
-        self._accumulate(out, self.term(), neg)
-        while True:
-            if ts.take_op("+"):
-                neg = False
-            elif ts.take_op("-"):
-                neg = True
-            else:
-                break
-            self._accumulate(out, self.term(), neg)
+        out: dict[int, dict] = {}  # lambda power -> {monomial: scalar}
         t = ts.peek()
+        neg = ts.take_op("-")
+        while True:
+            k, mono, s = self.term()
+            terms = out.setdefault(k, {})
+            if neg:
+                s = -s
+            terms[mono] = (self._op(t, operator.add, terms[mono], s)
+                           if mono in terms else s)
+            t = ts.take_op("+", "-")
+            if not t:
+                break
+            neg = t.text == "-"
+        self._expect_end()
+        polys = {k: self.pres.poly(terms) for k, terms in out.items()}
+        return {k: x for k, x in polys.items() if not x.is_zero}
+
+    def _expect_end(self):
+        t = self.ts.peek()
         if t.kind != "eof":
-            ts.error(t, "expected '+', '-' or end of expression, found %s"
-                     % _show(t))
-        return {k: x for k, x in out.items() if not x.is_zero}
+            self.ts.error(t, "expected '+', '-' or end of expression, found %s"
+                          % _show(t))
 
-    def _accumulate(self, out, term, neg):
-        k, x = term
-        if neg:
-            x = -x
-        acc = out.get(k)
-        out[k] = x if acc is None else acc + x
-
-    def term(self) -> tuple[int, TPoly]:
+    def term(self) -> tuple[int, tuple, Scalar]:
         ts = self.ts
-        scalar = self.pres.field.one
+        scalar = None
         lampow = 0
         mono = None
         while True:
@@ -240,16 +264,17 @@ class _ExprParser:
                     ts.error(t, "more than one tensor monomial in a term")
                 mono = (self.pres.rgen(t.text),)
             else:
-                scalar = scalar * self._scalar_factor()
-            while ts.at_op("/"):
-                t = ts.next()
-                try:
-                    scalar = scalar / self._scalar_factor()
-                except ScalarError as ex:
-                    ts.error(t, str(ex))
+                f = self._scalar_factor()
+                scalar = (f if scalar is None
+                          else self._op(t, operator.mul, scalar, f))
+            while t := ts.take_op("/"):
+                num = self.field.one if scalar is None else scalar
+                scalar = self._op(t, operator.truediv, num,
+                                  self._scalar_factor())
             if not ts.take_op("*"):
                 break
-        return lampow, self.pres.poly({mono if mono is not None else (): scalar})
+        return (lampow, () if mono is None else mono,
+                self.field.one if scalar is None else scalar)
 
     def _opt_power(self) -> int:
         if not self.ts.take_op("^"):
@@ -260,53 +285,60 @@ class _ExprParser:
             self.ts.error(t, "exponent %d exceeds the limit %d" % (k, MAX_POWER))
         return k
 
-    def _scalar_factor(self):
+    def _op(self, tok: Token, op, a: Scalar, b: Scalar) -> Scalar:
+        """op(a, b), or a diagnostic at tok."""
+        if a.complexity() * b.complexity() > MAX_SCALAR_SIZE:
+            self.ts.error(tok, "scalar may exceed the size limit %d"
+                          % MAX_SCALAR_SIZE)
+        try:
+            return op(a, b)
+        except ScalarError as ex:
+            self.ts.error(tok, str(ex))
+
+    def _scalar_factor(self) -> Scalar:
         ts = self.ts
         t = ts.peek()
         if t.kind == "int":
             ts.next()
-            base = self.pres.field.from_int(int(t.text))
+            base = self.field.convert(int(t.text))
         elif t.kind == "name":
-            if t.text not in self.pres.field.params:
+            if t.text not in self.field.params:
                 ts.error(t, "%r is not a declared scalar or generator" % t.text)
             ts.next()
-            base = self.pres.field.param(t.text)
+            base = self.field.param(t.text)
         elif t.kind == "op" and t.text == "(":
+            if self.depth == MAX_NESTING:
+                ts.error(t, "parentheses nested deeper than %d" % MAX_NESTING)
             ts.next()
+            self.depth += 1
             base = self._scalar_expr()
+            self.depth -= 1
             ts.expect_op(")")
         else:
             ts.error(t, "expected a scalar factor, found %s" % _show(t))
+        t = ts.peek()
         k = self._opt_power()
-        return base ** k if k != 1 else base
+        value = base if k else self.field.one
+        for _ in range(k - 1):
+            value = self._op(t, operator.mul, value, base)
+        return value
 
-    def _scalar_expr(self):
+    def _scalar_expr(self) -> Scalar:
         ts = self.ts
         neg = ts.take_op("-")
         acc = self._scalar_term()
         if neg:
             acc = -acc
-        while True:
-            if ts.take_op("+"):
-                acc = acc + self._scalar_term()
-            elif ts.take_op("-"):
-                acc = acc - self._scalar_term()
-            else:
-                return acc
+        while t := ts.take_op("+", "-"):
+            acc = self._op(t, _ARITH[t.text], acc, self._scalar_term())
+        return acc
 
-    def _scalar_term(self):
+    def _scalar_term(self) -> Scalar:
+        ts = self.ts
         acc = self._scalar_factor()
-        while True:
-            if self.ts.take_op("*"):
-                acc = acc * self._scalar_factor()
-            elif self.ts.at_op("/"):
-                t = self.ts.next()
-                try:
-                    acc = acc / self._scalar_factor()
-                except ScalarError as ex:
-                    self.ts.error(t, str(ex))
-            else:
-                return acc
+        while t := ts.take_op("*", "/"):
+            acc = self._op(t, _ARITH[t.text], acc, self._scalar_factor())
+        return acc
 
     def _colon_mono(self) -> tuple:
         ts = self.ts
@@ -455,7 +487,8 @@ class _FileParser:
             entries.add(key)
             sub = _TokenStream(self.toks, self.file, d, start, stop)
             try:
-                coeffs = _ExprParser(sub, pres, allow_lambda=True).expression()
+                coeffs = _ExprParser(sub, pres.field, pres,
+                                     allow_lambda=True).expression()
             except _Halt:
                 continue
             pres.set_bracket(a.text, b.text,
@@ -492,12 +525,28 @@ def parse_expression(pres: Presentation, text: str,
     toks = _tokenize(text, file, diags)
     ts = _TokenStream(toks, file, diags)
     try:
-        coeffs = _ExprParser(ts, pres, allow_lambda=False).expression()
+        coeffs = _ExprParser(ts, pres.field, pres).expression()
     except _Halt:
         coeffs = {}
     if diags:
         raise ParseError(diags)
     return coeffs.get(0, pres.zero())
+
+
+def parse_scalar(field: ScalarField, text: str,
+                 file: str = "<scalar>") -> Scalar:
+    """A scalar of `field` in the bracket grammar, e.g. a `--pin` value."""
+    diags: list[Diagnostic] = []
+    ts = _TokenStream(_tokenize(text, file, diags), file, diags)
+    parser = _ExprParser(ts, field)
+    try:
+        value = parser._scalar_expr()
+        parser._expect_end()
+    except _Halt:
+        pass
+    if diags:
+        raise ParseError(diags)
+    return value
 
 
 # -- rendering ---------------------------------------------------------------

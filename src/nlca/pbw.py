@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
-from .calculus import CalculusError, Engine
+from .calculus import Engine
 
 
 class PBWError(Exception):

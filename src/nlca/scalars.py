@@ -9,7 +9,8 @@ The representation is backed by sympy's sparse rational function fields,
 which keep every element reduced (gcd of numerator and denominator is 1,
 denominator has a positive leading coefficient in graded-lex order), so
 structural equality of canonical forms is plain equality of the wrapped
-elements.
+elements.  The representation stays private to this module; text is read
+by frontend.parse_scalar, in the grammar of the file format.
 """
 
 from __future__ import annotations
@@ -70,50 +71,31 @@ class ScalarField:
         except KeyError:
             raise ScalarError("unknown parameter %r" % (name,)) from None
 
-    def _int_raw(self, n: int):
-        # ints must become ground elements up front: sympy's zero fast paths
-        # would otherwise leak bare ints into later arithmetic
-        try:
-            return self._ints[n]
-        except KeyError:
-            r = self._field.ground_new(QQ(n))
-            if -64 <= n <= 64:
-                self._ints[n] = r
-            return r
-
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, self._int_raw(n))
-
-    def from_fraction(self, q: Fraction) -> "Scalar":
-        return Scalar(self, self._field.ground_new(QQ(q.numerator, q.denominator)))
-
-    def convert(self, x) -> "Scalar":
-        if isinstance(x, Scalar):
-            if x.field is not self:
-                raise ScalarError("Scalar from a different field")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, Fraction):
-            return self.from_fraction(x)
-        raise ScalarError("cannot convert %r to a Scalar" % (x,))
-
     def _coerce_raw(self, x):
+        """The backing element for an int, Fraction or Scalar of this
+        field; None for any other type."""
         if isinstance(x, Scalar):
             if x.field is not self:
                 raise ScalarError("Scalar from a different field")
             return x.raw
         if isinstance(x, int):
-            return self._int_raw(x)
+            # ints must become ground elements up front: sympy's zero fast
+            # paths would otherwise leak bare ints into later arithmetic
+            r = self._ints.get(x)
+            if r is None:
+                r = self._field.ground_new(QQ(x))
+                if -64 <= x <= 64:
+                    self._ints[x] = r
+            return r
         if isinstance(x, Fraction):
             return self._field.ground_new(QQ(x.numerator, x.denominator))
         return None
 
-    def parse(self, text: str) -> "Scalar":
-        return _parse_scalar(self, text)
-
-    def render(self, s: "Scalar") -> str:
-        return _render(self, s.raw)
+    def convert(self, x) -> "Scalar":
+        r = self._coerce_raw(x)
+        if r is None:
+            raise ScalarError("cannot convert %r to a Scalar" % (x,))
+        return x if isinstance(x, Scalar) else Scalar(self, r)
 
     def transfer(self, s: "Scalar", target: "ScalarField") -> "Scalar":
         """Rebuild s in target, which must declare every parameter s uses."""
@@ -247,7 +229,8 @@ class Scalar:
         return nf / df
 
     def complexity(self) -> int:
-        return len(self.raw.numer.terms()) + len(self.raw.denom.terms())
+        """Number of terms in the numerator plus the denominator."""
+        return len(self.raw.numer) + len(self.raw.denom)
 
 
 def canonicalize(s: Scalar) -> Scalar:
@@ -312,105 +295,13 @@ def _render(fld: ScalarField, raw) -> str:
     return "%s/%s" % (ns, ds)
 
 
-# -- parsing -----------------------------------------------------------------
-
-_TOK = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
-
-
-def _tokenize_scalar(text: str):
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOK.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ScalarError("bad character %r in scalar" % (text[pos],))
-            break
-        if m.group(1) is not None:
-            toks.append(("int", int(m.group(1))))
-        elif m.group(2) is not None:
-            toks.append(("name", m.group(2)))
-        else:
-            toks.append((m.group(3), None))
-        pos = m.end()
-    toks.append(("end", None))
-    return toks
-
-
-class _ScalarParser:
-    def __init__(self, fld, toks):
-        self.fld = fld
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expr(self) -> Scalar:
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            w = self.term()
-            v = v + w if op == "+" else v - w
-        return v
-
-    def term(self) -> Scalar:
-        v = self.unary()
-        while self.peek() in ("*", "/"):
-            op, _ = self.next()
-            w = self.unary()
-            v = v * w if op == "*" else v / w
-        return v
-
-    def unary(self) -> Scalar:
-        if self.peek() == "-":
-            self.next()
-            return -self.unary()
-        if self.peek() == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Scalar:
-        v = self.atom()
-        if self.peek() == "^":
-            self.next()
-            kind, val = self.next()
-            neg = False
-            if kind == "-":
-                neg = True
-                kind, val = self.next()
-            if kind != "int":
-                raise ScalarError("exponent must be an integer")
-            v = v ** (-val if neg else val)
-        return v
-
-    def atom(self) -> Scalar:
-        kind, val = self.next()
-        if kind == "int":
-            return self.fld.from_int(val)
-        if kind == "name":
-            return self.fld.param(val)
-        if kind == "(":
-            v = self.expr()
-            kind, _ = self.next()
-            if kind != ")":
-                raise ScalarError("expected ')'")
-            return v
-        raise ScalarError("unexpected token %r in scalar" % (kind,))
-
-
-def _parse_scalar(fld: ScalarField, text: str) -> Scalar:
-    p = _ScalarParser(fld, _tokenize_scalar(text))
-    v = p.expr()
-    if p.peek() != "end":
-        raise ScalarError("trailing input in scalar: %r" % (text,))
-    return v
+def affine_defects(s: Scalar, unknowns) -> tuple[bool, bool]:
+    """(not affine, unknown in a denominator) for s, the unknowns jointly."""
+    fld = s.field
+    idx = [fld.params.index(u) for u in unknowns]
+    nonaffine = any(sum(exps[i] for i in idx) > 1 for exps in s.raw.numer)
+    in_den = any(s.raw.denom.degree(fld._field.ring.gens[i]) > 0 for i in idx)
+    return nonaffine, in_den
 
 
 def affine_split(s: Scalar, unknowns) -> tuple[Scalar, list[Scalar]]:
@@ -420,17 +311,16 @@ def affine_split(s: Scalar, unknowns) -> tuple[Scalar, list[Scalar]]:
     them in the denominator; raises ScalarError otherwise.  The returned
     Scalars live in s.field and are themselves unknown-free.
     """
-    fld = s.field
-    idx = [fld.params.index(u) for u in unknowns]
-    gens = [fld._field.ring.gens[i] for i in idx]
-    den = s.raw.denom
-    if any(den.degree(g) > 0 for g in gens):
+    nonaffine, in_den = affine_defects(s, unknowns)
+    if in_den:
         raise ScalarError("unknown in a denominator: %s" % (s,))
-    num = s.raw.numer
-    for exps, _ in num.terms():
-        if sum(exps[i] for i in idx) > 1:
-            raise ScalarError("not affine in the unknowns: %s" % (s,))
-    coeffs = [Scalar(fld, fld._field.new(num.diff(g), den)) for g in gens]
+    if nonaffine:
+        raise ScalarError("not affine in the unknowns: %s" % (s,))
+    fld = s.field
+    ring = fld._field.ring
+    num, den = s.raw.numer, s.raw.denom
+    coeffs = [Scalar(fld, fld._field.new(
+        num.diff(ring.gens[fld.params.index(u)]), den)) for u in unknowns]
     c0 = s
     for u, cu in zip(unknowns, coeffs):
         c0 = c0 - cu * fld.param(u)

@@ -59,4 +59,4 @@ def random_tensor(pres, rng, terms=2, max_factors=None, allow_empty=True):
 def random_single(pres, rng):
     """A scaled T^n-generator, the shape bracket arguments often take."""
     return TPoly(pres, {(random_rgen(pres, rng),):
-                        pres.field.from_fraction(random_coeff(rng))})
+                        pres.field.convert(random_coeff(rng))})

@@ -7,7 +7,8 @@ import pytest
 from nlca.algebra import Presentation
 from nlca.ansatz import (AnsatzError, extract_system, solve_and_substitute,
                          substitute_unknowns)
-from nlca.scalars import ScalarError, nullspace, scalar_field
+from nlca.frontend import ParseError
+from nlca.scalars import nullspace, scalar_field
 
 from builders import make_virasoro, make_w3
 
@@ -97,7 +98,7 @@ def test_pin_errors(w3_ansatz, wwl_system):
         solve_and_substitute(w3_ansatz, wwl_system, ("zeta", 1))
     with pytest.raises(AnsatzError, match="cannot interpret pin value"):
         solve_and_substitute(w3_ansatz, wwl_system, ("delta", None))
-    with pytest.raises(ScalarError):
+    with pytest.raises(ParseError):
         solve_and_substitute(w3_ansatz, wwl_system, ("delta", "c +"))
 
 

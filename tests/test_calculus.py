@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nlca.algebra import RGen, TPoly, apply_T, render_tpoly
+from nlca.algebra import TPoly, apply_T, render_tpoly
 from nlca.calculus import CalculusError, Engine
 from nlca.formal import LPoly
 
@@ -275,7 +275,7 @@ def test_bilinearity(presentations, engines):
             x = random_tensor(p, rng)
             y = random_tensor(p, rng)
             z = random_tensor(p, rng)
-            s = p.field.from_fraction(Fraction(rng.randrange(-3, 4), 2))
+            s = p.field.convert(Fraction(rng.randrange(-3, 4), 2))
             assert e.nprod(x + y.scale(s), z) == \
                 e.nprod(x, z) + e.nprod(y, z).scale(s)
             assert e.pbracket(z, x + y.scale(s)) == \

@@ -9,15 +9,11 @@ from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
-import pytest
-
 import nlca
 from nlca.algebra import Presentation
-from nlca.calculus import Engine
 from nlca.cli import main
 from nlca.formal import render_lpoly
 from nlca.frontend import parse_expression, render_presentation
-from nlca.pbw import Reducer
 
 from builders import _w3_table
 
@@ -284,6 +280,28 @@ def test_solve_errors(capsys):
                                   "--pin", "c=1"])
     assert code == 2
     assert "declares no unknowns" in err
+
+
+def test_pin_limits(tmp_path):
+    # pins share the file grammar's bounds: a located diagnostic and exit 2
+    f = tmp_path / "u.nlca"
+    f.write_text("param a;\nparam b;\nparam c;\nunknown u;\n"
+                 "generator J parity=even degree=1 weight=1;\n"
+                 "bracket [J,J] = u*lambda*1;\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+    for pin, want in (
+            ("((c+1)^100)^100", "<pin>:1:12: scalar may exceed the size "
+                                "limit 1000"),
+            ("(a+b+c+1)^100", "<pin>:1:10: scalar may exceed the size "
+                              "limit 1000"),
+            ("(" * 400 + "c" + ")" * 400, "<pin>:1:51: parentheses nested "
+                                          "deeper than 50")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlca", "solve", str(f), "--pin",
+             "u=" + pin], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == want + "\n"
 
 
 # -- plumbing ----------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Reading and writing presentation files."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nlca.algebra import AlgebraError
 from nlca.frontend import (ParseError, bundled_names, load_bundled,
-                           parse_expression, parse_path, parse_source,
-                           render_presentation, same_presentation)
+                           parse_expression, parse_path, parse_scalar,
+                           parse_source, render_presentation,
+                           same_presentation)
+from nlca.scalars import scalar_field
 
 from builders import BUILDERS
 
@@ -126,6 +128,14 @@ BAD_SOURCES = [
      ["f.nlca:2:24: exponent 101 exceeds the limit 100"]),
     (GEN_L + "bracket [L,L] = lambda^60*lambda^50*1;\n",
      ["f.nlca:2:27: lambda power 110 exceeds the limit 100"]),
+    ("param c;\n" + GEN_L + "bracket [L,L] = ((c+1)^100)^100*:T L:;\n",
+     ["f.nlca:3:28: scalar may exceed the size limit 1000"]),
+    ("param a;\nparam b;\nparam c;\n" + GEN_L
+     + "bracket [L,L] = (a+b+c+1)^100*:T L:;\n",
+     ["f.nlca:5:26: scalar may exceed the size limit 1000"]),
+    ("param c;\n" + GEN_L
+     + "bracket [L,L] = " + "(" * 400 + "c" + ")" * 400 + "*:T L:;\n",
+     ["f.nlca:3:67: parentheses nested deeper than 50"]),
 ]
 
 
@@ -144,3 +154,29 @@ def test_parser_resyncs_at_semicolons():
         "f.nlca:2:12: unknown generator 'M'",
         "f.nlca:3:12: unknown generator 'N'",
     ]
+
+
+# -- fuzzing: any text gives a value or a ParseError -------------------------
+
+PIECES = ["a", "c", "q", "0", "1", "12", "(", ")", "+", "-", "*", "/", "^",
+          "^100", " ", "lambda", "L", ":", ":T L:", ";", "$"]
+TEXTS = st.lists(st.sampled_from(PIECES), max_size=24).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TEXTS)
+def test_fuzz_parse_scalar(text):
+    try:
+        parse_scalar(scalar_field(("a", "c")), text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(TEXTS)
+def test_fuzz_bracket_right_hand_side(text):
+    try:
+        parse_source("param a;\nparam c;\n" + GEN_L
+                     + "bracket [L,L] = " + text + ";\n")
+    except ParseError:
+        pass

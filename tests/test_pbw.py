@@ -13,7 +13,7 @@ from nlca.pbw import (PBWError, Reducer, character, enumerate_basis,
                       inversions, is_normally_ordered)
 
 from conftest import CONCRETE
-from randgen import random_mono, random_single, random_tensor
+from randgen import random_mono, random_tensor
 
 
 # -- inversion counting ------------------------------------------------------
