@@ -11,9 +11,10 @@ Tensor monomials are written `:T^2 L W:` (or `1` for the empty monomial);
 scalars are rational expressions in the declared params/unknowns.  `#`
 starts a comment.  Only one bracket orientation per pair needs to be
 given; the other is derived by skewsymmetry.  An exponent `^k` (on lambda,
-T or a scalar) and the lambda-power of a term are at most MAX_POWER; a
-scalar's size is bounded by MAX_SCALAR_SIZE and its parenthesis nesting by
-MAX_NESTING.  parse_scalar reads the same scalar grammar on its own.
+T or a scalar) and the lambda-power of a term are at most MAX_POWER; an
+integer literal has at most MAX_DIGITS digits; a scalar's size is bounded
+by MAX_SCALAR_SIZE and its parenthesis nesting by MAX_NESTING.
+parse_scalar reads the same scalar grammar on its own.
 """
 
 import operator
@@ -156,6 +157,9 @@ class _TokenStream:
         t = self.peek()
         if t.kind != "int":
             self.error(t, "expected an integer, found %s" % _show(t))
+        if len(t.text) > MAX_DIGITS:
+            self.error(t, "integer of %d digits exceeds the limit %d"
+                       % (len(t.text), MAX_DIGITS))
         self.next()
         return int(t.text)
 
@@ -172,6 +176,10 @@ _RESERVED = ("T", "lambda")
 # dense in the lambda-power and deriving the skew orientation costs its
 # square, so an unbounded exponent would let a short file run for minutes.
 MAX_POWER = 100
+
+# Bound on the digits of an integer literal: Python's own int-string limit,
+# past which int() refuses the text.
+MAX_DIGITS = 4300
 
 # Bound on the size of parsed scalars, measured by Scalar.complexity().  The
 # grammar applies + - * / to a and b, and multiplies out `x^k`, only if
@@ -299,8 +307,7 @@ class _ExprParser:
         ts = self.ts
         t = ts.peek()
         if t.kind == "int":
-            ts.next()
-            base = self.field.convert(int(t.text))
+            base = self.field.convert(ts.expect_int())
         elif t.kind == "name":
             if t.text not in self.field.params:
                 ts.error(t, "%r is not a declared scalar or generator" % t.text)

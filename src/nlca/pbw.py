@@ -60,35 +60,49 @@ class Reducer:
         hit = self._memo.get(E)
         if hit is not None:
             return hit
+        # Follow the swap chain E -> swapped -> ... in a loop, reducing each
+        # correction as it comes, until an ordered word, an odd repeat or a
+        # memo hit; then fill the memo backwards along the chain.
         pres = self.pres
-        pos = _leftmost_inversion(pres, E)
-        if pos is None:
-            out = TPoly(pres, {E: pres.field.one})
-        else:
+        one = pres.field.one
+        eng = self.engine
+        chain = []  # (word, sign, sigma(correction))
+        inv = None  # inversion count of E, carried along the chain
+        while True:
+            pos = _leftmost_inversion(pres, E)
+            if pos is None:
+                out = TPoly(pres, {E: one})
+                break
             a, b = E[pos], E[pos + 1]
             prefix, suffix = E[:pos], E[pos + 2:]
-            prefix_poly = TPoly(pres, {prefix: pres.field.one})
-            suffix_poly = TPoly(pres, {suffix: pres.field.one})
-            eng = self.engine
-            ab = eng.lie(TPoly(pres, {(a,): pres.field.one}),
-                         TPoly(pres, {(b,): pres.field.one}))
-            corr = prefix_poly.tensor(eng.nprod(ab, suffix_poly))
-            if pres.rgen_key(a) > pres.rgen_key(b):
-                swapped = prefix + (b, a) + suffix
-                sign = pres.parity_sign((a,), (b,))
-                if self.checked:
-                    self._monitor(E, swapped, corr)
-                out = self.normal_order(corr)
-                _add_scaled(out.terms, self._no(swapped), sign)
-            else:
+            ab = eng.lie(TPoly(pres, {(a,): one}), TPoly(pres, {(b,): one}))
+            corr = TPoly(pres, {prefix: one}).tensor(
+                eng.nprod(ab, TPoly(pres, {suffix: one})))
+            if pres.rgen_key(a) <= pres.rgen_key(b):
                 # adjacent repeat of an odd generator
                 if self.checked:
-                    self._monitor(E, None, corr)
+                    self._monitor(E, corr)
                 out = self.normal_order(corr).scale(Fraction(1, 2))
+                break
+            swapped = prefix + (b, a) + suffix
+            if self.checked:
+                inv = self._monitor(E, corr, swapped, inv)
+            chain.append((E, pres.parity_sign((a,), (b,)),
+                          self.normal_order(corr)))
+            E = swapped
+            out = self._memo.get(E)
+            if out is not None:
+                break
         self._memo[E] = out
+        for word, sign, head in reversed(chain):
+            _add_scaled(head.terms, out, sign)
+            self._memo[word] = out = head
         return out
 
-    def _monitor(self, E: TMono, swapped: TMono | None, corr: TPoly) -> None:
+    def _monitor(self, E: TMono, corr: TPoly, swapped: TMono | None = None,
+                 inv: int | None = None) -> int | None:
+        """Check one rewrite of E.  For a swap, return the swapped word's
+        inversion count; inv is E's, or None to count it here."""
         self.descent_checks += 1
         pres = self.pres
         dE = pres.mono_degree(E)
@@ -96,14 +110,19 @@ class Reducer:
             if pres.mono_degree(swapped) != dE:
                 raise PBWError("swap changed the degree of %s"
                                % (render_tmono(pres, E),))
-            if inversions(pres, swapped) != inversions(pres, E) - 1:
+            if inv is None:
+                inv = inversions(pres, E)
+            inv_swapped = inversions(pres, swapped)
+            if inv_swapped != inv - 1:
                 raise PBWError("swap did not lower the inversion count of %s"
                                % (render_tmono(pres, E),))
+            inv = inv_swapped
         for mono in corr.terms:
             if not pres.mono_degree(mono) < dE:
                 raise PBWError(
                     "correction term %s does not drop the degree below %s"
                     % (render_tmono(pres, mono), dE))
+        return inv
 
 
 def _leftmost_inversion(pres: Presentation, E: TMono) -> int | None:
@@ -120,19 +139,37 @@ def is_normally_ordered(pres: Presentation, mono: TMono) -> bool:
     return _leftmost_inversion(pres, mono) is None
 
 
+def _weight_unit(pres: Presentation) -> int:
+    """L, the lcm of the generator-weight denominators: every weight of a
+    monomial is a multiple of 1/L."""
+    return lcm(*(g.weight.denominator for g in pres.generators))
+
+
+def _require_positive_weights(pres: Presentation) -> None:
+    if any(g.weight <= 0 for g in pres.generators):
+        raise PBWError("basis enumeration needs strictly positive weights")
+
+
 def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
     """All normally ordered monomials of exact conformal weight `weight`.
 
     Requires every generator weight to be declared and positive; the list
-    is in lexicographic order of the factor keys.
+    is in lexicographic order of the factor keys.  Weights are counted in
+    integer units of 1/L, and the search enters a branch only if a table
+    of the weights reachable from each suffix of the candidates says the
+    rest of the weight can still be made, so every branch ends in output.
     """
     if not pres.weights_declared:
         raise PBWError("cannot enumerate a basis without conformal weights")
-    if any(g.weight <= 0 for g in pres.generators):
-        raise PBWError("basis enumeration needs strictly positive weights")
+    _require_positive_weights(pres)
     weight = Fraction(weight)
     if weight < 0:
         return []
+    unit = _weight_unit(pres)
+    top = weight * unit
+    if top.denominator != 1:
+        return []
+    top = int(top)
     cands = []
     for g in pres.generators:
         n = 0
@@ -140,22 +177,33 @@ def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
             cands.append(RGen(g.index, n))
             n += 1
     cands.sort(key=pres.rgen_key)
+    units = [int(pres.rgen_weight(rg) * unit) for rg in cands]
+    # after a factor at index ci the next one is drawn from index ci on;
+    # an odd factor cannot repeat, so from ci + 1
+    nxt = [ci + pres.rgen_parity(rg) for ci, rg in enumerate(cands)]
+    # reach[ci] has bit r set iff cands[ci:] can make weight r (in units)
+    full = (1 << (top + 1)) - 1
+    reach = [0] * len(cands) + [1]
+    for ci in reversed(range(len(cands))):
+        r = shifted = reach[ci + 1]
+        while shifted:  # an odd factor once, an even one any number of times
+            shifted = (shifted << units[ci]) & full
+            r |= shifted
+            if nxt[ci] > ci:
+                break
+        reach[ci] = r
+    # depth first, children pushed in reverse so they pop in order
     out: list[TMono] = []
-
-    def extend(prefix: tuple, start: int, remaining: Fraction):
+    stack = [((), 0, top)]
+    while stack:
+        prefix, start, remaining = stack.pop()
         if remaining == 0:
             out.append(prefix)
-            return
-        for ci in range(start, len(cands)):
-            rg = cands[ci]
-            w = pres.rgen_weight(rg)
-            if w > remaining:
-                continue
-            # an odd factor cannot repeat; evens may
-            nxt = ci + 1 if pres.rgen_parity(rg) else ci
-            extend(prefix + (rg,), nxt, remaining - w)
-
-    extend((), 0, weight)
+            continue
+        for ci in reversed(range(start, len(cands))):
+            rest = remaining - units[ci]
+            if rest >= 0 and reach[nxt[ci]] >> rest & 1:
+                stack.append((prefix + (cands[ci],), nxt[ci], rest))
     return out
 
 
@@ -163,16 +211,28 @@ def character(pres: Presentation, max_weight) -> dict[Fraction, int]:
     """Graded dimensions weight -> dim up to max_weight inclusive.
 
     The table walks the weight lattice generated by the declared weights in
-    steps of 1/lcm of their denominators, starting at 0.
+    steps of 1/L, L the lcm of their denominators, starting at 0.  By the
+    PBW theorem the dimensions are the coefficients of the product over the
+    T^n-generators of weight at most max_weight of 1/(1 - q^w) (even) or
+    1 + q^w (odd); each factor is one pass over a list of counts in integer
+    units of 1/L, so the cost is O(top * #factors) integer additions for
+    top = floor(L * max_weight), whatever the size of the basis.
     """
     if not pres.weights_declared:
         raise PBWError("cannot form a character without conformal weights")
     max_weight = Fraction(max_weight)
-    step = Fraction(1, lcm(*(g.weight.denominator for g in pres.generators))) \
-        if pres.generators else Fraction(1)
-    out: dict[Fraction, int] = {}
-    w = Fraction(0)
-    while w <= max_weight:
-        out[w] = len(enumerate_basis(pres, w))
-        w += step
-    return out
+    if max_weight < 0:
+        return {}
+    _require_positive_weights(pres)
+    unit = _weight_unit(pres)
+    top = int(max_weight * unit)
+    dims = [1] + [0] * top
+    for g in pres.generators:
+        for w in range(int(g.weight * unit), top + 1, unit):
+            if g.parity:
+                for k in range(top, w - 1, -1):
+                    dims[k] += dims[k - w]
+            else:
+                for k in range(w, top + 1):
+                    dims[k] += dims[k - w]
+    return {Fraction(k, unit): d for k, d in enumerate(dims)}

@@ -251,9 +251,27 @@ def canonicalize(s: Scalar) -> Scalar:
 
 # -- rendering ---------------------------------------------------------------
 
+# str() refuses ints of more than sys.get_int_max_str_digits() digits (4300
+# by default, never below 640); _fmt_int renders longer ones exactly, in
+# chunks this long.
+_CHUNK_DIGITS = 500
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _fmt_int(n: int) -> str:
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    m, chunks = abs(n), []
+    while m >= _CHUNK:
+        m, low = divmod(m, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(m) if n > 0 else "-%d" % m)
+    return "".join(reversed(chunks))
+
+
 def _fmt_q(c) -> str:
     n, d = c.numerator, c.denominator
-    return str(n) if d == 1 else "%s/%s" % (n, d)
+    return _fmt_int(n) if d == 1 else "%s/%s" % (_fmt_int(n), _fmt_int(d))
 
 
 def _fmt_poly(poly, names) -> str:

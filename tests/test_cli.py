@@ -1,5 +1,6 @@
 """Command line behaviour, exit codes, and stable JSON output."""
 
+import decimal
 import io
 import json
 import os
@@ -109,7 +110,38 @@ def test_check_exponent_limit(tmp_path):
             assert "witness [L, L]: 2*lambda^100*1" in proc.stdout
 
 
+def test_check_integer_literal_limit(tmp_path):
+    # past Python's int-string limit a literal is a located diagnostic
+    env = dict(os.environ, PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+    for digits, code in ((4301, 2), (4300, 0)):
+        f = tmp_path / ("big%d.nlca" % digits)
+        f.write_text("generator L parity=even degree=2 weight=2;\n"
+                     "bracket [L,L] = %s*lambda^3*1;\n" % ("7" * digits))
+        proc = subprocess.run([sys.executable, "-m", "nlca", "check", str(f)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert proc.stderr == ("%s:2:17: integer of 4301 digits exceeds "
+                                   "the limit 4300\n" % f)
+        else:
+            assert proc.stderr == ""
+
+
 # -- ope / reduce ------------------------------------------------------------
+
+def test_ope_renders_long_coefficients(tmp_path):
+    # (99999^100)^100 has 50,000 digits, past Python's int-string limit
+    env = dict(os.environ, PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+    f = tmp_path / "tower.nlca"
+    f.write_text("generator L parity=even degree=2 weight=2;\n"
+                 "bracket [L,L] = (99999^100)^100*lambda^3*1;\n")
+    proc = subprocess.run([sys.executable, "-m", "nlca", "ope", str(f),
+                           "L", "L"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    digits = str(decimal.Decimal(99999 ** 10000))
+    assert len(digits) == 50000
+    assert proc.stdout == digits + "*lambda^3*1\n"
+
 
 def test_ope_human(capsys):
     code, out, err = run(capsys,
@@ -161,6 +193,17 @@ def test_reduce(capsys):
                                "value": "-1/6*:T^3 L: + :L T L:"}
 
 
+def test_reduce_long_reversed_word():
+    # 61 factors in reverse order: a swap chain of 1,830 rewrites
+    env = dict(os.environ, PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+    word = ["T^%d a" % n for n in range(60, 1, -1)] + ["T a", "a"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlca", "reduce", bundled_path("free_boson"),
+         ":%s:" % " ".join(word)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ":%s:\n" % " ".join(reversed(word))
+
+
 def test_reduce_rejects_lambda(capsys):
     code, out, err = run(capsys,
                          ["reduce", bundled_path("virasoro"), "lambda*:L:"])
@@ -203,6 +246,13 @@ def test_character_documented_line(capsys):
                                   "--max-weight", "3"])
     assert code == 0
     assert out == "0:1 1/2:1 1:0 3/2:1 2:1 5/2:1 3:1\n"
+
+
+def test_character_large_weight(capsys):
+    code, out, err = run(capsys, ["character", bundled_path("affine_sl2"),
+                                  "--max-weight", "40"])
+    assert code == 0
+    assert out.split()[-1].startswith("40:")
 
 
 def test_character_json(capsys):

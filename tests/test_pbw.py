@@ -9,6 +9,7 @@ import pytest
 from nlca.algebra import Presentation, TPoly
 from nlca.algebra import render_tpoly
 from nlca.calculus import Engine
+from nlca.frontend import bundled_names, load_bundled
 from nlca.pbw import (PBWError, Reducer, character, enumerate_basis,
                       inversions, is_normally_ordered)
 
@@ -114,6 +115,15 @@ def test_reduce_is_linear(virasoro, reducers):
     c = p.field.param("c")
     assert red.normal_order(x.scale(c) + y) == \
         red.normal_order(x).scale(c) + red.normal_order(y)
+
+
+def test_reduce_long_reversed_word(free_boson):
+    # a swap chain of 1,830 rewrites, far deeper than the recursion limit;
+    # free-boson corrections are central and integrate to zero
+    p = free_boson
+    word = p.mono(*(("a", n) for n in range(60, -1, -1)))
+    got = Reducer(Engine(p)).normal_order(p.poly({word: 1}))
+    assert got == p.poly({tuple(reversed(word)): 1})
 
 
 # -- the kernel of sigma -----------------------------------------------------
@@ -327,3 +337,51 @@ def test_character_fermion_half_integer_lattice(free_fermion):
 def test_character_w3_frozen(w3):
     got = character(w3, 6)
     assert [got[Fraction(w)] for w in range(7)] == [1, 0, 1, 2, 3, 4, 8]
+
+
+# -- characters against the enumerator ---------------------------------------
+
+def test_character_matches_enumerator_on_bundled_tables():
+    for name in bundled_names():
+        p = load_bundled(name)
+        top = 8 if name == "affine_sl2" else 10
+        got = character(p, top)
+        unit = lcm(*(g.weight.denominator for g in p.generators))
+        assert list(got) == [Fraction(k, unit) for k in range(top * unit + 1)]
+        for w, d in got.items():
+            assert d == len(enumerate_basis(p, w)), (name, w)
+
+
+WEIGHTS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+           Fraction(2))
+
+
+def test_character_matches_enumerator_on_random_generators():
+    rng = random.Random(19)
+    for _ in range(12):
+        gens = [("g%d" % i, rng.randrange(2), rng.randrange(1, 4),
+                 rng.choice(WEIGHTS)) for i in range(rng.randrange(1, 4))]
+        p = Presentation(gens)
+        got = character(p, 4)
+        for w, d in got.items():
+            assert d == len(enumerate_basis(p, w)), (gens, w)
+        assert got == dims_by_partition_count(p, 4)
+
+
+def test_character_edge_cases(virasoro):
+    q = Presentation([("x", 0, 1, 0)])
+    with pytest.raises(PBWError):
+        character(q, 2)
+    assert character(q, -1) == {}
+    assert character(virasoro, -1) == {}
+    assert character(virasoro, Fraction(5, 2)) == {0: 1, 1: 0, 2: 1}
+
+
+def test_character_does_not_enumerate(monkeypatch, virasoro, affine_sl2):
+    def refuse(*args):
+        raise AssertionError("character enumerated the basis")
+
+    monkeypatch.setattr("nlca.pbw.enumerate_basis", refuse)
+    assert character(virasoro, 200) == dims_by_partition_count(virasoro, 200)
+    assert character(affine_sl2, 40) == \
+        dims_by_partition_count(affine_sl2, 40)
