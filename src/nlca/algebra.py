@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from .scalars import Scalar, affine_defects, scalar_field
@@ -115,11 +115,6 @@ class TPoly:
             return None
         return max(self.pres.mono_degree(m) for m in self.terms)
 
-    def parity(self) -> int | None:
-        """Common parity of all monomials, or None if mixed / zero."""
-        ps = {self.pres.mono_parity(m) for m in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
     def weights(self) -> set:
         return {self.pres.mono_weight(m) for m in self.terms}
 
@@ -174,6 +169,8 @@ def skew_coeffs(coeffs: list, sign: int = 1) -> list[TPoly]:
 def apply_T(x: TPoly, k: int = 1) -> TPoly:
     """k-fold derivation T, Leibniz over tensor factors.  T(1) = 0."""
     for _ in range(k):
+        if not x.terms:
+            break
         out = {}
         for mono, s in x.terms.items():
             for p, rg in enumerate(mono):
@@ -209,6 +206,16 @@ class Presentation:
                                   None if weight is None else Fraction(weight), i)
             decls.append(g)
         self.generators = tuple(decls)
+        # generator metadata in integer units, for the hot order and degree
+        # checks: degrees in units of 1/degree_unit, the lcm of their
+        # denominators; parity bits; ranks in (degree, index) order
+        self.degree_unit = lcm(*(g.degree.denominator for g in decls))
+        self.gen_units = tuple(int(g.degree * self.degree_unit) for g in decls)
+        self.gen_parity = tuple(g.parity for g in decls)
+        rank = [0] * len(decls)
+        for r, g in enumerate(sorted(decls, key=lambda g: (g.degree, g.index))):
+            rank[g.index] = r
+        self.gen_rank = tuple(rank)
         self.gen_index = {g.name: g.index for g in self.generators}
         if len(self.gen_index) != len(self.generators):
             raise AlgebraError("duplicate generator names")
@@ -278,14 +285,21 @@ class Presentation:
         return w + rg.n
 
     def rgen_key(self, rg: RGen):
-        """Total order on T^n-generators: by degree, then declaration, then n."""
-        return (self.generators[rg.gen].degree, rg.gen, rg.n)
+        """Total order on T^n-generators: by degree, then declaration, then
+        n; the first two as the generator's rank."""
+        return (self.gen_rank[rg[0]], rg[1])
+
+    def mono_units(self, mono: TMono) -> int:
+        """The degree of mono in units of 1/degree_unit."""
+        units = self.gen_units
+        return sum([units[g] for g, _ in mono])
 
     def mono_degree(self, mono: TMono) -> Fraction:
-        return sum((self.rgen_degree(rg) for rg in mono), Fraction(0))
+        return Fraction(self.mono_units(mono), self.degree_unit)
 
     def mono_parity(self, mono: TMono) -> int:
-        return sum(self.rgen_parity(rg) for rg in mono) & 1
+        bits = self.gen_parity
+        return sum([bits[g] for g, _ in mono]) & 1
 
     def mono_weight(self, mono: TMono) -> Fraction:
         return sum((self.rgen_weight(rg) for rg in mono), Fraction(0))

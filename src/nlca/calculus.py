@@ -34,11 +34,10 @@ class CalculusError(Exception):
 
 class Engine:
     def __init__(self, pres: Presentation, checked: bool = True,
-                 memoize: bool = True, cache_limit: int | None = None):
+                 cache_limit: int | None = None):
         self.pres = pres
         pres.frozen = True
         self.checked = checked
-        self.memoize = memoize
         if cache_limit is None:
             env = os.environ.get("NLCA_CACHE_LIMIT")
             cache_limit = int(env) if env else None
@@ -179,15 +178,14 @@ class Engine:
                     self._n_into(d, img, Y)
             out = TPoly(pres, d)
         if self.checked and out:
-            bound = pres.mono_degree(A) + pres.mono_degree(B)
+            bound = pres.mono_units(A) + pres.mono_units(B)
             for mono in out.terms:
-                if not pres.mono_degree(mono) <= bound:
+                if not pres.mono_units(mono) <= bound:
                     raise CalculusError(
                         "degree bound broken: N(%s, %s) contains %s"
                         % (render_tmono(pres, A), render_tmono(pres, B),
                            render_tmono(pres, mono)))
-        if self.memoize:
-            self._store(self._nmemo, (A, B), out)
+        self._store(self._nmemo, (A, B), out)
         return out
 
     def _p(self, A: TMono, B: TMono) -> list[TPoly]:
@@ -208,16 +206,15 @@ class Engine:
         while out and out[-1].is_zero:
             out.pop()
         if self.checked:
-            bound = pres.mono_degree(A) + pres.mono_degree(B)
+            bound = pres.mono_units(A) + pres.mono_units(B)
             for X in out:
                 for mono in X.terms:
-                    if not pres.mono_degree(mono) < bound:
+                    if not pres.mono_units(mono) < bound:
                         raise CalculusError(
                             "degree bound broken: P(%s, %s) contains %s"
                             % (render_tmono(pres, A), render_tmono(pres, B),
                                render_tmono(pres, mono)))
-        if self.memoize:
-            self._store(self._pmemo, (A, B), out)
+        self._store(self._pmemo, (A, B), out)
         return out
 
     def _p_peel_right(self, a: RGen, B: TMono) -> list[TPoly]:

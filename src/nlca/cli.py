@@ -14,7 +14,7 @@ from .ansatz import AnsatzError, extract_system, solve_and_substitute
 from .calculus import CalculusError, Engine
 from .formal import render_lpoly
 from .frontend import ParseError, parse_expression, parse_path, parse_source
-from .pbw import PBWError, Reducer, character, enumerate_basis
+from .pbw import PBWError, Reducer, WeightLimitError, character, enumerate_basis
 from .scalars import ScalarError
 from .verify import run_all
 
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
         for d in ex.diagnostics:
             print(str(d), file=sys.stderr)
         return 2
-    except _InputError as ex:
+    except (_InputError, WeightLimitError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
     except OSError as ex:

@@ -161,7 +161,7 @@ class _TokenStream:
             self.error(t, "integer of %d digits exceeds the limit %d"
                        % (len(t.text), MAX_DIGITS))
         self.next()
-        return int(t.text)
+        return _read_int(t.text)
 
 
 def _show(t: Token) -> str:
@@ -177,9 +177,11 @@ _RESERVED = ("T", "lambda")
 # square, so an unbounded exponent would let a short file run for minutes.
 MAX_POWER = 100
 
-# Bound on the digits of an integer literal: Python's own int-string limit,
-# past which int() refuses the text.
+# Bound on the digits of an integer literal, Python's default int-string
+# limit.  _read_int reads a literal in chunks below the smallest limit
+# Python allows, so a file parses the same under any PYTHONINTMAXSTRDIGITS.
 MAX_DIGITS = 4300
+_CHUNK_DIGITS = 500
 
 # Bound on the size of parsed scalars, measured by Scalar.complexity().  The
 # grammar applies + - * / to a and b, and multiplies out `x^k`, only if
@@ -191,8 +193,22 @@ MAX_SCALAR_SIZE = 1000
 # Bound on nested parentheses in a scalar; the grammar recurses once a level.
 MAX_NESTING = 50
 
+# Bound on floor(L * max_weight), the length of pbw.character's table of
+# counts (L the lcm of the weight denominators).  Its cost grows with the
+# square of this; at the bound affine_sl2 takes about a second.
+MAX_WEIGHT_UNITS = 2000
+
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}
+
+
+def _read_int(text: str) -> int:
+    """int(text) for a digit string of any length."""
+    head = len(text) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    n = int(text[:head])
+    for i in range(head, len(text), _CHUNK_DIGITS):
+        n = n * 10 ** _CHUNK_DIGITS + int(text[i:i + _CHUNK_DIGITS])
+    return n
 
 
 def _rational(ts: _TokenStream) -> Fraction:

@@ -17,22 +17,27 @@ from math import lcm
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
 from .calculus import Engine
+from .frontend import MAX_WEIGHT_UNITS
 
 
 class PBWError(Exception):
     pass
 
 
+class WeightLimitError(PBWError):
+    """A character asked for past MAX_WEIGHT_UNITS steps of weight."""
+
+
 def inversions(pres: Presentation, mono: TMono) -> int:
     """Number of pairs p < q that violate the PBW order, counting an equal
     pair of odd factors as a violation."""
     keys = [pres.rgen_key(rg) for rg in mono]
+    bits = pres.gen_parity
     d = 0
-    for p in range(len(mono)):
-        for q in range(p + 1, len(mono)):
-            if keys[p] > keys[q]:
-                d += 1
-            elif keys[p] == keys[q] and pres.rgen_parity(mono[p]):
+    for p, kp in enumerate(keys):
+        odd = bits[mono[p][0]]
+        for kq in keys[p + 1:]:
+            if kp > kq or (odd and kp == kq):
                 d += 1
     return d
 
@@ -105,9 +110,9 @@ class Reducer:
         inversion count; inv is E's, or None to count it here."""
         self.descent_checks += 1
         pres = self.pres
-        dE = pres.mono_degree(E)
+        dE = pres.mono_units(E)
         if swapped is not None:
-            if pres.mono_degree(swapped) != dE:
+            if pres.mono_units(swapped) != dE:
                 raise PBWError("swap changed the degree of %s"
                                % (render_tmono(pres, E),))
             if inv is None:
@@ -118,19 +123,18 @@ class Reducer:
                                % (render_tmono(pres, E),))
             inv = inv_swapped
         for mono in corr.terms:
-            if not pres.mono_degree(mono) < dE:
+            if not pres.mono_units(mono) < dE:
                 raise PBWError(
                     "correction term %s does not drop the degree below %s"
-                    % (render_tmono(pres, mono), dE))
+                    % (render_tmono(pres, mono), pres.mono_degree(E)))
         return inv
 
 
 def _leftmost_inversion(pres: Presentation, E: TMono) -> int | None:
+    key, bits = pres.rgen_key, pres.gen_parity
     for p in range(len(E) - 1):
-        ka, kb = pres.rgen_key(E[p]), pres.rgen_key(E[p + 1])
-        if ka > kb:
-            return p
-        if ka == kb and pres.rgen_parity(E[p]):
+        ka, kb = key(E[p]), key(E[p + 1])
+        if ka > kb or (ka == kb and bits[E[p][0]]):
             return p
     return None
 
@@ -226,6 +230,10 @@ def character(pres: Presentation, max_weight) -> dict[Fraction, int]:
     _require_positive_weights(pres)
     unit = _weight_unit(pres)
     top = int(max_weight * unit)
+    if top > MAX_WEIGHT_UNITS:
+        raise WeightLimitError(
+            "character to weight %s needs %d weight steps, past the limit %d"
+            % (max_weight, top, MAX_WEIGHT_UNITS))
     dims = [1] + [0] * top
     for g in pres.generators:
         for w in range(int(g.weight * unit), top + 1, unit):

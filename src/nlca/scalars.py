@@ -58,9 +58,14 @@ class ScalarField:
         ret = _sympy_field(list(params), QQ, order=grlex)
         self._field = ret[0]
         self._gens = dict(zip(params, ret[1:]))
-        self._ints: dict[int, object] = {}
+        # ±1 are cached by identity: Scalar.__mul__ and __neg__ test for
+        # them with `is` and skip sympy's cancel
+        one = self._field.one
+        self._one, self._minus_one = one, -one
+        self._ints: dict[int, object] = {1: one, -1: self._minus_one}
         self.zero = Scalar(self, self._field.zero)
-        self.one = Scalar(self, self._field.one)
+        self.one = Scalar(self, one)
+        self.minus_one = Scalar(self, self._minus_one)
 
     def __repr__(self):
         return "ScalarField(%s)" % (", ".join(self.params) or "Q")
@@ -88,6 +93,8 @@ class ScalarField:
                     self._ints[x] = r
             return r
         if isinstance(x, Fraction):
+            if x.denominator == 1:
+                return self._coerce_raw(x.numerator)
             return self._field.ground_new(QQ(x.numerator, x.denominator))
         return None
 
@@ -171,13 +178,30 @@ class Scalar:
         return Scalar(self.field, r - self.raw)
 
     def __neg__(self):
-        return Scalar(self.field, -self.raw)
+        fld = self.field
+        if self.raw is fld._one:
+            return fld.minus_one
+        if self.raw is fld._minus_one:
+            return fld.one
+        return Scalar(fld, -self.raw)
 
     def __mul__(self, other):
-        r = self.field._coerce_raw(other)
+        # a product with ±1 is the other operand or its negation, which
+        # is already reduced: neither needs sympy's cancel
+        fld = self.field
+        r = fld._coerce_raw(other)
         if r is None:
             return NotImplemented
-        return Scalar(self.field, self.raw * r)
+        a = self.raw
+        if r is fld._one:
+            return self
+        if r is fld._minus_one:
+            return -self
+        if a is fld._one:
+            return Scalar(fld, r)
+        if a is fld._minus_one:
+            return Scalar(fld, -r)
+        return Scalar(fld, a * r)
 
     __rmul__ = __mul__
 

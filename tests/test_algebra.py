@@ -49,6 +49,11 @@ def test_apply_T_leibniz(vir):
     assert apply_T(vir.gen("L"), 2) == vir.gen("L", 2)
 
 
+def test_apply_T_stops_at_zero(vir):
+    # T kills the unit; the remaining 10^9 - 1 steps are never taken
+    assert apply_T(vir.unit(), 10 ** 9).is_zero
+
+
 def test_tpoly_arithmetic(vir):
     x = vir.gen("L")
     y = vir.gen("L", 1)

@@ -127,6 +127,26 @@ def test_check_integer_literal_limit(tmp_path):
             assert proc.stderr == ""
 
 
+def test_check_integer_literal_under_low_digit_limit(tmp_path):
+    # literals are read in chunks, so Python's smallest int-string limit
+    # changes nothing: same output as under the default limit
+    f = tmp_path / "big.nlca"
+    f.write_text("generator L parity=even degree=2 weight=2;\n"
+                 "bracket [L,L] = %s*lambda^3*1;\n" % ("7" * 1000))
+    outs = []
+    for limit in ("4300", "640"):
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit,
+                   PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+        for cmd in (["check", str(f), "--json"], ["ope", str(f), "L", "L"]):
+            proc = subprocess.run([sys.executable, "-m", "nlca"] + cmd,
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            outs.append(proc.stdout)
+    assert outs[2:] == outs[:2]
+    assert outs[1] == "7" * 1000 + "*lambda^3*1\n"
+
+
 # -- ope / reduce ------------------------------------------------------------
 
 def test_ope_renders_long_coefficients(tmp_path):
@@ -253,6 +273,15 @@ def test_character_large_weight(capsys):
                                   "--max-weight", "40"])
     assert code == 0
     assert out.split()[-1].startswith("40:")
+
+
+def test_character_weight_limit(capsys):
+    code, out, err = run(capsys, ["character", bundled_path("virasoro"),
+                                  "--max-weight", "1000000000"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: character to weight 1000000000 needs 1000000000 "
+                   "weight steps, past the limit 2000\n")
 
 
 def test_character_json(capsys):

@@ -1,0 +1,172 @@
+"""Differential tests: each exact shortcut against the plain path.
+
+Scalar products with ±1 skip sympy's cancel, and generator metadata is
+kept in integer units (ranks, degree units, parity bits).  Each must give
+the very value, rendering and hash of the plain computation, and every
+check built on the integer units must still fire, with the same message.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nlca.algebra import Presentation, RGen
+from nlca.calculus import CalculusError, Engine
+from nlca.frontend import parse_source
+from nlca.pbw import PBWError, Reducer, inversions
+from nlca.scalars import Scalar, scalar_field
+
+from randgen import random_coeff
+
+FIELDS = ((), ("c",), ("a", "b"))
+
+
+def rational_function(fld, rng):
+    """A seeded element of fld: a ratio of small polynomials in its
+    parameters with coefficients from randgen, or a rational constant."""
+    def poly():
+        out = fld.convert(random_coeff(rng))
+        for p in fld.params:
+            out = out + fld.param(p) * random_coeff(rng)
+            if rng.random() < 0.5:
+                out = out * (fld.param(p) + random_coeff(rng))
+        return out
+
+    den = poly()
+    while den.is_zero:
+        den = poly()
+    return poly() / den
+
+
+def assert_same(x, y):
+    assert x == y
+    assert str(x) == str(y)
+    assert hash(x) == hash(y)
+
+
+def check_unit_products(fld, x):
+    # a one and a minus one that are not the cached objects, so their
+    # products take sympy's multiply-and-cancel path
+    one = fld.convert(3) / fld.convert(3)
+    minus_one = fld.convert(-3) / fld.convert(3)
+    assert one.raw is not fld.one.raw
+    assert minus_one.raw is not fld.minus_one.raw
+    plain = Scalar(fld, x.raw * one.raw)
+    plain_neg = Scalar(fld, x.raw * minus_one.raw)
+    for fast in (x * 1, 1 * x, x * fld.one, fld.one * x, x * Fraction(1),
+                 Fraction(1) * x, x * Fraction(3, 3)):
+        assert_same(fast, plain)
+    for fast in (x * -1, -1 * x, x * fld.minus_one, fld.minus_one * x, -x,
+                 x * Fraction(-1), x * Fraction(-2, 2)):
+        assert_same(fast, plain_neg)
+    assert_same(x * one, plain)
+    assert_same(x * minus_one, plain_neg)
+    assert_same(-(-x), x)
+
+
+def test_unit_products_match_plain_path_seeded():
+    rng = random.Random(606)
+    for params in FIELDS:
+        fld = scalar_field(params)
+        for x in (fld.zero, fld.one, fld.minus_one, fld.convert(2)):
+            check_unit_products(fld, x)
+        for _ in range(25):
+            check_unit_products(fld, rational_function(fld, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 2 ** 32))
+def test_unit_products_match_plain_path_hypothesis(params, seed):
+    fld = scalar_field(params)
+    check_unit_products(fld, rational_function(fld, random.Random(seed)))
+
+
+def test_unit_constants_are_cached():
+    for params in FIELDS:
+        fld = scalar_field(params)
+        for one in (1, Fraction(1), Fraction(2, 2), fld.one):
+            assert fld.convert(one).raw is fld.one.raw
+        for minus_one in (-1, Fraction(-1), Fraction(-5, 5), fld.minus_one):
+            assert fld.convert(minus_one).raw is fld.minus_one.raw
+        assert -fld.one is fld.minus_one
+        assert -fld.minus_one is fld.one
+        assert str(fld.minus_one) == "-1"
+
+
+# -- generator metadata in integer units -------------------------------------
+
+DEGREES = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+           Fraction(2))
+
+
+def random_table(rng):
+    gens = [("g%d" % i, rng.randrange(2), rng.choice(DEGREES), None)
+            for i in range(rng.randrange(1, 6))]
+    return Presentation(gens)
+
+
+def test_rgen_key_is_degree_index_n_order():
+    rng = random.Random(23)
+    for _ in range(30):
+        p = random_table(rng)
+        rgens = [RGen(i, n) for i in range(len(p.generators))
+                 for n in range(3)]
+        for x, y in product(rgens, repeat=2):
+            ref_x = (p.generators[x.gen].degree, x.gen, x.n)
+            ref_y = (p.generators[y.gen].degree, y.gen, y.n)
+            assert (p.rgen_key(x) < p.rgen_key(y)) == (ref_x < ref_y)
+            assert (p.rgen_key(x) == p.rgen_key(y)) == (ref_x == ref_y)
+
+
+def test_mono_metadata_matches_fraction_sums():
+    rng = random.Random(29)
+    for _ in range(30):
+        p = random_table(rng)
+        for _ in range(20):
+            mono = tuple(RGen(rng.randrange(len(p.generators)),
+                              rng.randrange(3))
+                         for _ in range(rng.randrange(7)))
+            degs = [p.generators[g].degree for g, _ in mono]
+            assert p.mono_degree(mono) == sum(degs, Fraction(0))
+            assert p.mono_units(mono) == sum(degs, Fraction(0)) * p.degree_unit
+            assert p.mono_parity(mono) == sum(
+                p.generators[g].parity for g, _ in mono) % 2
+            keys = [(p.generators[g].degree, g, n) for g, n in mono]
+            want = sum(1 for i in range(len(mono))
+                       for j in range(i + 1, len(mono))
+                       if keys[i] > keys[j] or (
+                           keys[i] == keys[j] and p.generators[mono[i].gen].parity))
+            assert inversions(p, mono) == want
+
+
+# -- the checks on integer units still fire ----------------------------------
+
+# a (degree 1/2) and b (degree 1) bracket to a term of degree 3/2, which
+# breaks deg [a_lambda b] < deg a + deg b
+BROKEN = """
+generator a parity=even degree=1/2;
+generator b parity=even degree=1;
+bracket [a,b] = :a b:;
+"""
+
+
+def test_fractional_degree_bound_still_raises():
+    p = parse_source(BROKEN)
+    e = Engine(p)
+    with pytest.raises(CalculusError) as info:
+        e.pbracket(p.gen("a"), p.gen("b"))
+    assert str(info.value) == "degree bound broken: P(:a:, :b:) contains :a b:"
+
+
+def test_non_descending_swap_still_raises():
+    # the engine's own bound would fire first, so only the reducer checks
+    p = parse_source(BROKEN)
+    r = Reducer(Engine(p, checked=False))
+    r.checked = True
+    with pytest.raises(PBWError) as info:
+        r.normal_order(p.poly({p.mono("b", "a"): 1}))
+    assert str(info.value) == ("correction term :T a b: does not drop the "
+                               "degree below 3/2")

@@ -9,7 +9,7 @@ import pytest
 from nlca.algebra import Presentation, TPoly
 from nlca.algebra import render_tpoly
 from nlca.calculus import Engine
-from nlca.frontend import bundled_names, load_bundled
+from nlca.frontend import MAX_WEIGHT_UNITS, bundled_names, load_bundled
 from nlca.pbw import (PBWError, Reducer, character, enumerate_basis,
                       inversions, is_normally_ordered)
 
@@ -375,6 +375,17 @@ def test_character_edge_cases(virasoro):
     assert character(q, -1) == {}
     assert character(virasoro, -1) == {}
     assert character(virasoro, Fraction(5, 2)) == {0: 1, 1: 0, 2: 1}
+
+
+def test_character_weight_limit(virasoro, free_fermion):
+    # the bound counts steps of 1/L: L = 1 for virasoro, 2 for free_fermion
+    assert len(character(virasoro, MAX_WEIGHT_UNITS)) == MAX_WEIGHT_UNITS + 1
+    assert len(character(free_fermion, Fraction(MAX_WEIGHT_UNITS, 2))) == \
+        MAX_WEIGHT_UNITS + 1
+    for p, w in ((virasoro, MAX_WEIGHT_UNITS + 1), (virasoro, 10 ** 9),
+                 (free_fermion, Fraction(MAX_WEIGHT_UNITS + 1, 2))):
+        with pytest.raises(PBWError):
+            character(p, w)
 
 
 def test_character_does_not_enumerate(monkeypatch, virasoro, affine_sl2):
