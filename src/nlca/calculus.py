@@ -12,15 +12,19 @@ Everything is memoized per presentation at the monomial level.  A
 lambda-polynomial is a dense list of TPoly coefficients indexed by the
 lambda-power, the shape Presentation.bracket_r returns; sums are built in
 place in term dicts the caller owns, never in a memoized TPoly.  Only the
-public methods wrap a result in an LPoly, to name its variable.  In checked
-mode every memoized entry is verified against the degree bounds
+public methods wrap a result in an LPoly, to name its variable.  Every
+memoized entry is verified against the degree bounds
 deg N(A,B) <= deg A + deg B and deg P(A,B) < deg A + deg B.
+
+NLCA_CACHE_LIMIT, if set and not empty, is a non-negative integer: an
+Engine wipes both of its memos when their entries reach it.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .algebra import (Presentation, RGen, TMono, TPoly, _add_scaled,
@@ -32,16 +36,25 @@ class CalculusError(Exception):
     pass
 
 
+class CacheLimitError(CalculusError):
+    """NLCA_CACHE_LIMIT is neither empty nor a non-negative integer."""
+
+
+def _cache_limit() -> int | None:
+    env = os.environ.get("NLCA_CACHE_LIMIT", "")
+    if not env:
+        return None
+    if not (env.isascii() and env.isdigit() and len(env) <= 18):
+        raise CacheLimitError("NLCA_CACHE_LIMIT must be empty or a "
+                              "non-negative integer below 10^18")
+    return int(env)
+
+
 class Engine:
-    def __init__(self, pres: Presentation, checked: bool = True,
-                 cache_limit: int | None = None):
+    def __init__(self, pres: Presentation):
         self.pres = pres
         pres.frozen = True
-        self.checked = checked
-        if cache_limit is None:
-            env = os.environ.get("NLCA_CACHE_LIMIT")
-            cache_limit = int(env) if env else None
-        self.cache_limit = cache_limit
+        self.cache_limit = _cache_limit()
         self._nmemo: dict = {}
         self._pmemo: dict = {}
         self.stats = {"n_calls": 0, "p_calls": 0, "n_hits": 0, "p_hits": 0}
@@ -68,13 +81,8 @@ class Engine:
     def jacobiator(self, x: TPoly, y: TPoly, z: TPoly,
                    vars: tuple[str, str] = ("lambda", "mu")) -> LPoly:
         """P_l(x, P_m(y,z)) - p(x,y) P_m(y, P_l(x,z)) - P_{l+m}(P_l(x,y), z)."""
-        acc: dict = {}
-        for A, sa in x.terms.items():
-            for B, sb in y.terms.items():
-                for C, sc in z.terms.items():
-                    s = sa * sb * sc
-                    for (i, j), W in self._jac_mono(A, B, C).items():
-                        _add_scaled(acc.setdefault((i, j), {}), W, s)
+        acc = self._multilinear(
+            lambda A, B, C: self._jac_mono(A, B, C).items(), (x, y, z))
         return LPoly(self.pres, tuple(vars),
                      {e: TPoly(self.pres, d) for e, d in acc.items() if d})
 
@@ -89,39 +97,34 @@ class Engine:
         if kind == "sl":
             if z is not None:
                 raise CalculusError("sl takes two operands")
-            return self._defect2(self._sl_mono, x, y, var)
-        if kind not in ("sn", "wl", "wr", "q"):
+            fn, xs = self._sl_mono, (x, y)
+        elif kind not in ("sn", "wl", "wr", "q"):
             raise CalculusError("unknown defect kind %r" % (kind,))
-        if z is None:
+        elif z is None:
             raise CalculusError("%s takes three operands" % (kind,))
-        fn = {"sn": self._sn_mono, "wl": self._wl_mono,
-              "wr": self._wr_mono, "q": self._q_mono}[kind]
-        lists = kind in ("wl", "wr")
-        acc_list: list[dict] = []
-        acc_poly: dict = {}
-        for A, sa in x.terms.items():
-            for B, sb in y.terms.items():
-                for C, sc in z.terms.items():
-                    s = sa * sb * sc
-                    r = fn(A, B, C)
-                    if lists:
-                        for m, X in enumerate(r):
-                            _lacc(acc_list, m, X, s)
-                    else:
-                        _add_scaled(acc_poly, r, s)
-        if lists:
-            return LPoly.from_coeff_list(self.pres, var,
-                                         _coeff_list(self.pres, acc_list))
-        return TPoly(self.pres, acc_poly)
+        else:
+            fn = {"sn": self._sn_mono, "wl": self._wl_mono,
+                  "wr": self._wr_mono, "q": self._q_mono}[kind]
+            xs = (x, y, z)
+        if kind in ("sn", "q"):
+            acc = self._multilinear(lambda *ms: ((0, fn(*ms)),), xs)
+            return TPoly(self.pres, acc.get(0, {}))
+        acc = self._multilinear(lambda *ms: enumerate(fn(*ms)), xs)
+        return LPoly(self.pres, (var,),
+                     {(m,): TPoly(self.pres, d) for m, d in acc.items() if d})
 
-    def _defect2(self, fn, x: TPoly, y: TPoly, var: str) -> LPoly:
-        acc: list[dict] = []
-        for A, sa in x.terms.items():
-            for B, sb in y.terms.items():
-                s = sa * sb
-                for m, X in enumerate(fn(A, B)):
-                    _lacc(acc, m, X, s)
-        return LPoly.from_coeff_list(self.pres, var, _coeff_list(self.pres, acc))
+    def _multilinear(self, kernel, xs: tuple) -> dict:
+        """Extend a monomial kernel to the operands xs by multilinearity.
+        kernel(*monos) yields (key, TPoly) pairs; the result maps each key
+        to an owned term dict."""
+        acc: dict = {}
+        for terms in product(*(x.terms.items() for x in xs)):
+            s = terms[0][1]
+            for _, c in terms[1:]:
+                s = s * c
+            for key, W in kernel(*(mono for mono, _ in terms)):
+                _add_scaled(acc.setdefault(key, {}), W, s)
+        return acc
 
     # -- monomial-level core -------------------------------------------------
 
@@ -166,25 +169,16 @@ class Engine:
             a, Ap = A[0], A[1:]
             sign = pres.parity_sign((a,), Ap)
             d = _prepend(a, self._n(Ap, B)).terms
-            a_poly = self._mono((a,))
-            Ap_poly = self._mono(Ap)
-            for m, X in enumerate(self._p(Ap, B)):
-                if X:
-                    img = apply_T(a_poly, m + 1).scale(Fraction(1, m + 1))
-                    self._n_into(d, img, X)
-            for m, Y in enumerate(self._p((a,), B)):
-                if Y:
-                    img = apply_T(Ap_poly, m + 1).scale(Fraction(sign, m + 1))
-                    self._n_into(d, img, Y)
+            self._int_into(d, self._mono((a,)), self._p(Ap, B), 1)
+            self._int_into(d, self._mono(Ap), self._p((a,), B), sign)
             out = TPoly(pres, d)
-        if self.checked and out:
-            bound = pres.mono_units(A) + pres.mono_units(B)
-            for mono in out.terms:
-                if not pres.mono_units(mono) <= bound:
-                    raise CalculusError(
-                        "degree bound broken: N(%s, %s) contains %s"
-                        % (render_tmono(pres, A), render_tmono(pres, B),
-                           render_tmono(pres, mono)))
+        bound = pres.mono_units(A) + pres.mono_units(B)
+        for mono in out.terms:
+            if not pres.mono_units(mono) <= bound:
+                raise CalculusError(
+                    "degree bound broken: N(%s, %s) contains %s"
+                    % (render_tmono(pres, A), render_tmono(pres, B),
+                       render_tmono(pres, mono)))
         self._store(self._nmemo, (A, B), out)
         return out
 
@@ -205,15 +199,14 @@ class Engine:
             out = self._p_peel_left(A[0], A[1:], B)
         while out and out[-1].is_zero:
             out.pop()
-        if self.checked:
-            bound = pres.mono_units(A) + pres.mono_units(B)
-            for X in out:
-                for mono in X.terms:
-                    if not pres.mono_units(mono) < bound:
-                        raise CalculusError(
-                            "degree bound broken: P(%s, %s) contains %s"
-                            % (render_tmono(pres, A), render_tmono(pres, B),
-                               render_tmono(pres, mono)))
+        bound = pres.mono_units(A) + pres.mono_units(B)
+        for X in out:
+            for mono in X.terms:
+                if not pres.mono_units(mono) < bound:
+                    raise CalculusError(
+                        "degree bound broken: P(%s, %s) contains %s"
+                        % (render_tmono(pres, A), render_tmono(pres, B),
+                           render_tmono(pres, mono)))
         self._store(self._pmemo, (A, B), out)
         return out
 
@@ -243,33 +236,36 @@ class Engine:
         """P(a (x) A', B), peeling the leftmost factor."""
         pres = self.pres
         sign = pres.parity_sign((a,), Ap)
-        pApB = self._p(Ap, B)
         paB = self._p((a,), B)
-        a_poly = self._mono((a,))
         Ap_poly = self._mono(Ap)
         acc: list[dict] = []
-        for m, X in enumerate(pApB):
-            if not X:
-                continue
-            for k in range(m + 1):
-                img = apply_T(a_poly, k).scale(comb(m, k))
-                _lacc(acc, m - k, self._n_poly(img, X))
-        for m, Y in enumerate(paB):
-            if not Y:
-                continue
-            for k in range(m + 1):
-                img = apply_T(Ap_poly, k).scale(comb(m, k) * sign)
-                _lacc(acc, m - k, self._n_poly(img, Y))
-        for n, Y in enumerate(paB):
-            if not Y:
-                continue
-            Wlist = self._p_poly(Ap_poly, Y)
-            for k in range(n + 1):
-                cnk = comb(n, k) * ((-1) ** (n - k)) * sign
-                j = n - k
-                for m, Wm in enumerate(Wlist):
-                    _lacc(acc, k + j + m + 1, Wm, Fraction(cnk, j + m + 1))
+        self._expand_into(acc, self._mono((a,)), self._p(Ap, B), 1)
+        self._expand_into(acc, Ap_poly, paB, sign)
+        self._beta_into(acc, Ap_poly, paB, sign)
         return _coeff_list(pres, acc)
+
+    def _int_into(self, out: dict, x: TPoly, coeffs: list, s: int) -> None:
+        """Add s * sum_m N(T^(m+1) x / (m+1), X_m) into the term dict out."""
+        for m, X in enumerate(coeffs):
+            if X:
+                img = apply_T(x, m + 1).scale(Fraction(s, m + 1))
+                self._n_into(out, img, X)
+
+    def _expand_into(self, acc: list, x: TPoly, coeffs: list, s: int) -> None:
+        """Add s * sum_{m,k} C(m,k) lambda^(m-k) N(T^k x, X_m) into acc."""
+        for m, X in enumerate(coeffs):
+            if X:
+                for k in range(m + 1):
+                    img = apply_T(x, k).scale(comb(m, k) * s)
+                    _lacc(acc, m - k, self._n_poly(img, X))
+
+    def _beta_into(self, acc: list, x: TPoly, coeffs: list, s: int) -> None:
+        """Add s * sum_{n,m} B(n+1, m+1) lambda^(n+m+1) W_nm into acc, where
+        W_nm is the lambda^m coefficient of P(x, Y_n)."""
+        for n, Y in enumerate(coeffs):
+            if Y:
+                for m, W in enumerate(self._p_poly(x, Y)):
+                    _lacc(acc, n + m + 1, W, s * _beta(n, m))
 
     def _jac_mono(self, A: TMono, B: TMono, C: TMono) -> dict:
         pres = self.pres
@@ -343,28 +339,10 @@ class Engine:
         acc: list[dict] = []
         for m, X in enumerate(self._p_poly(self._n(A, B), C_poly)):
             _lacc(acc, m, X)
-        for n, Y in enumerate(self._p(A, C)):
-            if not Y:
-                continue
-            Wlist = self._p_poly(B_poly, Y)
-            for k in range(n + 1):
-                cnk = comb(n, k) * ((-1) ** (n - k))
-                j = n - k
-                for m, Wm in enumerate(Wlist):
-                    _lacc(acc, k + j + m + 1, Wm,
-                          Fraction(-sign * cnk, j + m + 1))
-        for m, X in enumerate(self._p(B, C)):
-            if not X:
-                continue
-            for k in range(m + 1):
-                img = apply_T(A_poly, k).scale(-comb(m, k))
-                _lacc(acc, m - k, self._n_poly(img, X))
-        for m, Y in enumerate(self._p(A, C)):
-            if not Y:
-                continue
-            for k in range(m + 1):
-                img = apply_T(B_poly, k).scale(-sign * comb(m, k))
-                _lacc(acc, m - k, self._n_poly(img, Y))
+        pAC = self._p(A, C)
+        self._beta_into(acc, B_poly, pAC, -sign)
+        self._expand_into(acc, A_poly, self._p(B, C), -1)
+        self._expand_into(acc, B_poly, pAC, -sign)
         return _coeff_list(pres, acc)
 
     def _q_mono(self, A: TMono, B: TMono, C: TMono) -> TPoly:
@@ -374,14 +352,8 @@ class Engine:
         out: dict = {}
         self._n_into(out, self._n(A, B), C_poly)
         self._n_into(out, A_poly, self._n(B, C), -1)
-        for m, X in enumerate(self._p(B, C)):
-            if X:
-                img = apply_T(A_poly, m + 1).scale(Fraction(1, m + 1))
-                self._n_into(out, img, X, -1)
-        for m, Y in enumerate(self._p(A, C)):
-            if Y:
-                img = apply_T(B_poly, m + 1).scale(Fraction(sign, m + 1))
-                self._n_into(out, img, Y, -1)
+        self._int_into(out, A_poly, self._p(B, C), -1)
+        self._int_into(out, B_poly, self._p(A, C), -sign)
         return TPoly(pres, out)
 
     # -- cache plumbing ------------------------------------------------------
@@ -403,6 +375,12 @@ def _lacc(acc: list, m: int, x: TPoly, s=None) -> None:
     while len(acc) <= m:
         acc.append({})
     _add_scaled(acc[m], x, s)
+
+
+def _beta(n: int, m: int) -> Fraction:
+    """B(n+1, m+1) = n! m! / (n+m+1)!, which is also
+    sum_k C(n,k) (-1)^(n-k) / (n-k+m+1), the integral of x^m (1-x)^n."""
+    return Fraction(1, (n + m + 1) * comb(n + m, m))
 
 
 def _int_minus_T(pres: Presentation, coeffs: list) -> TPoly:

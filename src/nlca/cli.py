@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, render_tmono, render_tpoly
 from .ansatz import AnsatzError, extract_system, solve_and_substitute
-from .calculus import CalculusError, Engine
+from .calculus import CacheLimitError, CalculusError, Engine
 from .formal import render_lpoly
 from .frontend import ParseError, parse_expression, parse_path, parse_source
 from .pbw import PBWError, Reducer, WeightLimitError, character, enumerate_basis
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
         for d in ex.diagnostics:
             print(str(d), file=sys.stderr)
         return 2
-    except (_InputError, WeightLimitError) as ex:
+    except (_InputError, WeightLimitError, CacheLimitError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
     except OSError as ex:

@@ -198,6 +198,11 @@ MAX_NESTING = 50
 # square of this; at the bound affine_sl2 takes about a second.
 MAX_WEIGHT_UNITS = 2000
 
+# Bound on the number of monomials pbw.enumerate_basis lists, counted
+# before it lists any: the count grows like the partition numbers, so a
+# small weight bound alone still lets the output run to millions of lines.
+MAX_BASIS_SIZE = 100000
+
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}
 

@@ -6,8 +6,8 @@ repeats adjacently.  The reduction rewrites the leftmost violation: an
 out-of-order adjacent pair (a, b) becomes the Koszul-signed swap plus the
 correction  prefix (x) N(lie(a, b), suffix);  an adjacent repeat of an odd
 generator a becomes  (1/2) prefix (x) N(lie(a, a), suffix).  Rewrites
-strictly descend in (degree, inversion count), which is what the checked
-mode monitors.
+strictly descend in (degree, inversion count), which a monitor checks on
+every rewrite.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import lcm
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
 from .calculus import Engine
-from .frontend import MAX_WEIGHT_UNITS
+from .frontend import MAX_BASIS_SIZE, MAX_WEIGHT_UNITS
 
 
 class PBWError(Exception):
@@ -25,7 +25,8 @@ class PBWError(Exception):
 
 
 class WeightLimitError(PBWError):
-    """A character asked for past MAX_WEIGHT_UNITS steps of weight."""
+    """A character or basis past MAX_WEIGHT_UNITS steps of weight, or a
+    basis of more than MAX_BASIS_SIZE monomials."""
 
 
 def inversions(pres: Presentation, mono: TMono) -> int:
@@ -48,7 +49,6 @@ class Reducer:
     def __init__(self, engine: Engine):
         self.engine = engine
         self.pres = engine.pres
-        self.checked = engine.checked
         self._memo: dict[TMono, TPoly] = {}
         self.descent_checks = 0
 
@@ -72,7 +72,6 @@ class Reducer:
         one = pres.field.one
         eng = self.engine
         chain = []  # (word, sign, sigma(correction))
-        inv = None  # inversion count of E, carried along the chain
         while True:
             pos = _leftmost_inversion(pres, E)
             if pos is None:
@@ -85,13 +84,11 @@ class Reducer:
                 eng.nprod(ab, TPoly(pres, {suffix: one})))
             if pres.rgen_key(a) <= pres.rgen_key(b):
                 # adjacent repeat of an odd generator
-                if self.checked:
-                    self._monitor(E, corr)
+                self._monitor(E, corr)
                 out = self.normal_order(corr).scale(Fraction(1, 2))
                 break
             swapped = prefix + (b, a) + suffix
-            if self.checked:
-                inv = self._monitor(E, corr, swapped, inv)
+            self._monitor(E, corr, swapped, pos)
             chain.append((E, pres.parity_sign((a,), (b,)),
                           self.normal_order(corr)))
             E = swapped
@@ -105,9 +102,11 @@ class Reducer:
         return out
 
     def _monitor(self, E: TMono, corr: TPoly, swapped: TMono | None = None,
-                 inv: int | None = None) -> int | None:
-        """Check one rewrite of E.  For a swap, return the swapped word's
-        inversion count; inv is E's, or None to count it here."""
+                 pos: int | None = None) -> None:
+        """Check one rewrite of E: its correction, and for a swap of the
+        pair at pos into the word swapped, the swap itself.  A swap changes
+        the relative order of that pair only, so it lowers the inversion
+        count by exactly one iff the pair's keys are strictly descending."""
         self.descent_checks += 1
         pres = self.pres
         dE = pres.mono_units(E)
@@ -115,19 +114,14 @@ class Reducer:
             if pres.mono_units(swapped) != dE:
                 raise PBWError("swap changed the degree of %s"
                                % (render_tmono(pres, E),))
-            if inv is None:
-                inv = inversions(pres, E)
-            inv_swapped = inversions(pres, swapped)
-            if inv_swapped != inv - 1:
+            if not pres.rgen_key(E[pos + 1]) < pres.rgen_key(E[pos]):
                 raise PBWError("swap did not lower the inversion count of %s"
                                % (render_tmono(pres, E),))
-            inv = inv_swapped
         for mono in corr.terms:
             if not pres.mono_units(mono) < dE:
                 raise PBWError(
                     "correction term %s does not drop the degree below %s"
                     % (render_tmono(pres, mono), pres.mono_degree(E)))
-        return inv
 
 
 def _leftmost_inversion(pres: Presentation, E: TMono) -> int | None:
@@ -162,6 +156,9 @@ def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
     integer units of 1/L, and the search enters a branch only if a table
     of the weights reachable from each suffix of the candidates says the
     rest of the weight can still be made, so every branch ends in output.
+    The dimension is counted first by the product formula of `character`;
+    past MAX_WEIGHT_UNITS steps or MAX_BASIS_SIZE monomials it raises
+    WeightLimitError.
     """
     if not pres.weights_declared:
         raise PBWError("cannot enumerate a basis without conformal weights")
@@ -174,6 +171,10 @@ def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
     if top.denominator != 1:
         return []
     top = int(top)
+    _check_weight_units("basis at weight %s" % weight, top)
+    if _dims(pres, unit, top)[top] > MAX_BASIS_SIZE:
+        raise WeightLimitError("basis at weight %s has more than %d monomials"
+                               % (weight, MAX_BASIS_SIZE))
     cands = []
     for g in pres.generators:
         n = 0
@@ -230,10 +231,18 @@ def character(pres: Presentation, max_weight) -> dict[Fraction, int]:
     _require_positive_weights(pres)
     unit = _weight_unit(pres)
     top = int(max_weight * unit)
+    _check_weight_units("character to weight %s" % max_weight, top)
+    return {Fraction(k, unit): d for k, d in enumerate(_dims(pres, unit, top))}
+
+
+def _check_weight_units(what: str, top: int) -> None:
     if top > MAX_WEIGHT_UNITS:
-        raise WeightLimitError(
-            "character to weight %s needs %d weight steps, past the limit %d"
-            % (max_weight, top, MAX_WEIGHT_UNITS))
+        raise WeightLimitError("%s needs %d weight steps, past the limit %d"
+                               % (what, top, MAX_WEIGHT_UNITS))
+
+
+def _dims(pres: Presentation, unit: int, top: int) -> list[int]:
+    """dims[k] = dimension at weight k/unit, for k = 0..top."""
     dims = [1] + [0] * top
     for g in pres.generators:
         for w in range(int(g.weight * unit), top + 1, unit):
@@ -243,4 +252,4 @@ def character(pres: Presentation, max_weight) -> dict[Fraction, int]:
             else:
                 for k in range(w, top + 1):
                     dims[k] += dims[k - w]
-    return {Fraction(k, unit): d for k, d in enumerate(dims)}
+    return dims

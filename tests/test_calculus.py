@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from nlca.algebra import TPoly, apply_T, render_tpoly
-from nlca.calculus import CalculusError, Engine
+from nlca.calculus import CalculusError, Engine, _beta
 from nlca.formal import LPoly
 
 from conftest import CONCRETE
@@ -283,3 +284,12 @@ def test_bilinearity(presentations, engines):
                 e.nprod(x, z) + e.nprod(y, z).scale(s)
             assert e.pbracket(z, x + y.scale(s)) == \
                 e.pbracket(z, x) + e.pbracket(z, y).scale(s)
+
+
+def test_beta_tail_coefficient():
+    # the closed form that replaces the k-sum in the P and wr tails
+    for n in range(9):
+        for m in range(9):
+            assert _beta(n, m) == sum(
+                Fraction(comb(n, k) * (-1) ** (n - k), n - k + m + 1)
+                for k in range(n + 1)), (n, m)

@@ -257,6 +257,22 @@ def test_basis_json(capsys):
     }
 
 
+def test_basis_limits(capsys):
+    code, out, err = run(capsys, ["basis", bundled_path("virasoro"),
+                                  "--weight", "100000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: basis at weight 100000 needs 100000 weight "
+                   "steps, past the limit 2000\n")
+    code, out, err = run(capsys, ["basis", bundled_path("virasoro"),
+                                  "--weight", "60"])
+    assert (code, out) == (2, "")
+    assert err == "error: basis at weight 60 has more than 100000 monomials\n"
+    code, out, err = run(capsys, ["basis", bundled_path("affine_sl2"),
+                                  "--weight", "10"])
+    assert code == 0
+    assert len(out.splitlines()) == 2640
+
+
 def test_character_documented_line(capsys):
     code, out, err = run(capsys, ["character", bundled_path("virasoro"),
                                   "--max-weight", "6"])
@@ -299,6 +315,23 @@ def test_character_json(capsys):
             {"weight": "4", "dimension": 2},
         ],
     }
+
+
+def test_cache_limit_variable():
+    path = bundled_path("virasoro")
+    for value, code in (("abc", 2), ("-1", 2), ("1e3", 2), ("", 0), ("0", 0),
+                        ("50", 0)):
+        env = dict(os.environ, NLCA_CACHE_LIMIT=value,
+                   PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "nlca", "check", path],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == code, (value, proc.stderr)
+        if code:
+            assert proc.stdout == ""
+            assert proc.stderr == ("error: NLCA_CACHE_LIMIT must be empty or "
+                                   "a non-negative integer below 10^18\n")
+        else:
+            assert proc.stdout.splitlines()[-1] == "all checks passed"
 
 
 # -- solve -------------------------------------------------------------------

@@ -10,11 +10,11 @@ from nlca.algebra import Presentation, TPoly
 from nlca.algebra import render_tpoly
 from nlca.calculus import Engine
 from nlca.frontend import MAX_WEIGHT_UNITS, bundled_names, load_bundled
-from nlca.pbw import (PBWError, Reducer, character, enumerate_basis,
-                      inversions, is_normally_ordered)
+from nlca.pbw import (PBWError, Reducer, WeightLimitError, character,
+                      enumerate_basis, inversions, is_normally_ordered)
 
 from conftest import CONCRETE
-from randgen import random_mono, random_tensor
+from randgen import random_mono, random_rgen, random_tensor
 
 
 # -- inversion counting ------------------------------------------------------
@@ -223,9 +223,31 @@ def test_descent_monitor_counts(virasoro):
     red = Reducer(Engine(p))
     red.normal_order(p.poly({p.mono(("L", 1), "L"): 1}))
     assert red.descent_checks == 1
-    unchecked = Reducer(Engine(p, checked=False))
-    unchecked.normal_order(p.poly({p.mono(("L", 1), "L"): 1}))
-    assert unchecked.descent_checks == 0
+
+
+def test_accepted_swaps_lower_inversions_by_one():
+    # the monitor checks a swap from the pair's keys alone; the full
+    # recount must agree on every swap it lets through
+    rng = random.Random(31)
+    for name in bundled_names():
+        p = load_bundled(name)
+        red = Reducer(Engine(p))
+        swaps = []
+        monitor = red._monitor
+
+        def record(E, corr, swapped=None, pos=None):
+            monitor(E, corr, swapped, pos)
+            if swapped is not None:
+                swaps.append((E, swapped))
+        red._monitor = record
+        for _ in range(15):
+            red.normal_order(random_tensor(p, rng))
+            word = [random_rgen(p, rng) for _ in range(3)]
+            red.normal_order(p.poly(
+                {tuple(sorted(word, key=p.rgen_key, reverse=True)): 1}))
+        assert swaps, name
+        for E, swapped in swaps:
+            assert inversions(p, swapped) == inversions(p, E) - 1, name
 
 
 # -- basis enumeration -------------------------------------------------------
@@ -275,6 +297,17 @@ def test_enumerate_basis_outputs_are_ordered(presentations):
             for mono in basis:
                 assert is_normally_ordered(p, mono)
                 assert p.mono_weight(mono) == w
+
+
+def test_enumerate_basis_limits(monkeypatch, virasoro):
+    with pytest.raises(WeightLimitError):
+        enumerate_basis(virasoro, MAX_WEIGHT_UNITS + 1)
+    # the count comes from the product formula, before any listing
+    monkeypatch.setattr("nlca.pbw.MAX_BASIS_SIZE", 4)
+    assert len(enumerate_basis(virasoro, 6)) == 4
+    with pytest.raises(WeightLimitError) as info:
+        enumerate_basis(virasoro, 8)
+    assert str(info.value) == "basis at weight 8 has more than 4 monomials"
 
 
 def test_basis_requires_weights():
