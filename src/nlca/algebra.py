@@ -310,21 +310,20 @@ class Presentation:
 
     # -- bracket table -------------------------------------------------------
 
-    def set_bracket(self, a: str, b: str, coeffs: dict[int, TPoly]) -> None:
-        """Install [a_lambda b] as {lambda-power: TPoly coefficient}.
+    def set_bracket(self, a: str, b: str, coeffs: list[TPoly]) -> None:
+        """Install [a_lambda b] as a coefficient list, index = lambda-power.
 
         Engines cache against the table, so it is an error once an Engine
         has been built on this presentation."""
         if self.frozen:
             raise AlgebraError("cannot change the bracket table of %r: an "
                                "Engine has been built on it" % (self,))
-        i, j = self.gen_index[a], self.gen_index[b]
-        top = max(coeffs) if coeffs else 0
-        lst = [TPoly(self)] * (top + 1)
-        for k, x in coeffs.items():
-            if not isinstance(x, TPoly) or x.pres is not self:
-                raise AlgebraError("bracket coefficient must be a TPoly over this presentation")
-            lst[k] = x
+        i, j = self.rgen(a).gen, self.rgen(b).gen
+        if not isinstance(coeffs, list) or not all(
+                isinstance(x, TPoly) and x.pres is self for x in coeffs):
+            raise AlgebraError("bracket coefficients must be a list of "
+                               "TPolys over this presentation")
+        lst = list(coeffs)
         while lst and lst[-1].is_zero:
             lst.pop()
         self._table[(i, j)] = lst
@@ -399,7 +398,7 @@ class Presentation:
             label = "[%s,%s]" % (self.generators[i].name, self.generators[j].name)
             for k, mono, rule, value, bound in self.table_violations(i, j):
                 out.append("%s: lambda^%d term %s has %s %s, %s %s"
-                           % (label, k, _mono_str(self, mono), rule, value,
+                           % (label, k, render_tmono(self, mono), rule, value,
                               "needs <" if rule == "degree" else "expected",
                               bound))
         if self.unknowns:
@@ -413,14 +412,11 @@ class Presentation:
             for k, X in enumerate(lst):
                 for mono, s in X.terms.items():
                     nonaffine, in_den = affine_defects(s, self.unknowns)
-                    if nonaffine:
-                        out.append(
-                            "%s: lambda^%d coefficient of %s is not affine "
-                            "in the unknowns" % (label, k, _mono_str(self, mono)))
-                    if in_den:
-                        out.append(
-                            "%s: lambda^%d coefficient of %s has an unknown in "
-                            "its denominator" % (label, k, _mono_str(self, mono)))
+                    for bad, what in ((nonaffine, "is not affine in the unknowns"),
+                                      (in_den, "has an unknown in its denominator")):
+                        if bad:
+                            out.append("%s: lambda^%d coefficient of %s %s"
+                                       % (label, k, render_tmono(self, mono), what))
         return out
 
 
@@ -435,14 +431,10 @@ def render_rgen(pres: Presentation, rg: RGen) -> str:
     return "T^%d %s" % (rg.n, nm)
 
 
-def _mono_str(pres: Presentation, mono: TMono) -> str:
+def render_tmono(pres: Presentation, mono: TMono) -> str:
     if not mono:
         return "1"
     return ":%s:" % " ".join(render_rgen(pres, rg) for rg in mono)
-
-
-def render_tmono(pres: Presentation, mono: TMono) -> str:
-    return _mono_str(pres, mono)
 
 
 def mono_sort_key(pres: Presentation, mono: TMono):
@@ -462,17 +454,21 @@ def scalar_prefix(s: Scalar):
     return neg, r
 
 
-def render_tpoly(x: TPoly) -> str:
-    if x.is_zero:
-        return "0"
-    pres = x.pres
+def render_terms(pres: Presentation, blocks) -> str:
+    """The signed sum of coeff*vpart*monomial over (vpart, TPoly) blocks,
+    each block's monomials in mono_sort_key order; "0" when empty."""
     parts = []
-    for mono in sorted(x.terms, key=lambda m: mono_sort_key(pres, m)):
-        neg, coeff = scalar_prefix(x.terms[mono])
-        ms = _mono_str(pres, mono)
-        body = ms if coeff is None else "%s*%s" % (coeff, ms)
-        if not parts:
-            parts.append("-" + body if neg else body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
+    for vpart, X in blocks:
+        for mono in sorted(X.terms, key=lambda m: mono_sort_key(pres, m)):
+            neg, coeff = scalar_prefix(X.terms[mono])
+            if parts:
+                parts.append(" - " if neg else " + ")
+            elif neg:
+                parts.append("-")
+            parts.append("*".join(
+                x for x in (coeff, vpart, render_tmono(pres, mono)) if x))
+    return "".join(parts) or "0"
+
+
+def render_tpoly(x: TPoly) -> str:
+    return render_terms(x.pres, (("", x),))

@@ -19,7 +19,7 @@ from .frontend import parse_scalar
 from .pbw import Reducer
 from .scalars import (
     LinearSystem, Scalar, ScalarError, affine_split, nullspace, scalar_field)
-from .verify import Report, run_all
+from .verify import Report, all_triples, run_all
 
 
 class AnsatzError(Exception):
@@ -52,8 +52,7 @@ def extract_system(pres: Presentation, triples=None,
     engine = engine or Engine(pres)
     reducer = reducer or Reducer(engine)
     if triples is None:
-        names = [g.name for g in pres.generators]
-        triples = [(a, b, c) for a in names for b in names for c in names]
+        triples = all_triples(pres)
     target = scalar_field(pres.params)
     system = LinearSystem(target, pres.unknowns)
     big = pres.field
@@ -89,9 +88,8 @@ def substitute_unknowns(pres: Presentation, values: dict[str, Scalar]) -> Presen
         params=pres.params, name=pres.name)
     big = pres.field
     for (i, j) in pres.given_pairs():
-        lst = pres._table[(i, j)]
-        coeffs = {}
-        for k, X in enumerate(lst):
+        coeffs = []
+        for X in pres.pair_coeffs(i, j):
             terms = {}
             for mono, s in X.terms.items():
                 c0, cus = affine_split(s, pres.unknowns)
@@ -100,7 +98,7 @@ def substitute_unknowns(pres: Presentation, values: dict[str, Scalar]) -> Presen
                     snew = snew + big.transfer(cu, target) * values[u]
                 if not snew.is_zero:
                     terms[mono] = snew
-            coeffs[k] = TPoly(out, terms)
+            coeffs.append(TPoly(out, terms))
         out.set_bracket(pres.generators[i].name, pres.generators[j].name, coeffs)
     return out
 

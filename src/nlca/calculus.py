@@ -215,21 +215,11 @@ class Engine:
         pres = self.pres
         b, C = B[0], B[1:]
         sign = pres.parity_sign((a,), (b,))
-        pab = self._p((a,), (b,))
-        paC = self._p((a,), C)
-        C_poly = self._mono(C)
         acc: list[dict] = []
-        for m, X in enumerate(pab):
-            if X:
-                _lacc(acc, m, self._n_poly(X, C_poly))
-        for m, Y in enumerate(paC):
+        self._right_into(acc, self._p((a,), (b,)), self._mono(C), 1)
+        for m, Y in enumerate(self._p((a,), C)):
             if Y:
                 _lacc(acc, m, _prepend(b, Y), sign)
-        for i, X in enumerate(pab):
-            if not X:
-                continue
-            for m, Wm in enumerate(self._p_poly(X, C_poly)):
-                _lacc(acc, i + m + 1, Wm, Fraction(1, m + 1))
         return _coeff_list(pres, acc)
 
     def _p_peel_left(self, a: RGen, Ap: TMono, B: TMono) -> list[TPoly]:
@@ -250,6 +240,15 @@ class Engine:
             if X:
                 img = apply_T(x, m + 1).scale(Fraction(s, m + 1))
                 self._n_into(out, img, X)
+
+    def _right_into(self, acc: list, coeffs: list, y: TPoly, s: int) -> None:
+        """Add s * sum_i lambda^i (N(X_i, y) + sum_m lambda^(m+1)/(m+1) W_im)
+        into acc, where W_im is the lambda^m coefficient of P(X_i, y)."""
+        for i, X in enumerate(coeffs):
+            if X:
+                _lacc(acc, i, self._n_poly(X, y), s)
+                for m, W in enumerate(self._p_poly(X, y)):
+                    _lacc(acc, i + m + 1, W, Fraction(s, m + 1))
 
     def _expand_into(self, acc: list, x: TPoly, coeffs: list, s: int) -> None:
         """Add s * sum_{m,k} C(m,k) lambda^(m-k) N(T^k x, X_m) into acc."""
@@ -321,12 +320,7 @@ class Engine:
         acc: list[dict] = []
         for m, X in enumerate(self._p_poly(A_poly, self._n(B, C))):
             _lacc(acc, m, X)
-        for i, X in enumerate(self._p(A, B)):
-            if not X:
-                continue
-            for m, Wm in enumerate(self._p_poly(X, C_poly)):
-                _lacc(acc, i + m + 1, Wm, Fraction(-1, m + 1))
-            _lacc(acc, i, self._n_poly(X, C_poly), -1)
+        self._right_into(acc, self._p(A, B), C_poly, -1)
         for i, Y in enumerate(self._p(A, C)):
             if Y:
                 _lacc(acc, i, self._n_poly(B_poly, Y), -sign)

@@ -152,12 +152,11 @@ def _cmd_solve(args):
     pin_name, pin_val = args.pin.split("=", 1)
     if pin_name not in pres.unknowns:
         raise _InputError("%r is not an unknown of %s" % (pin_name, args.file))
+    skipped = []
     if args.triples is not None:
-        triples = _parse_triples(args.triples, pres)
-        system = extract_system(pres, triples=triples)
-        skipped = []
+        system = extract_system(pres,
+                                triples=_parse_triples(args.triples, pres))
     else:
-        skipped = []
         system = extract_system(pres, nonlinear="skip", skipped=skipped)
     res = solve_and_substitute(pres, system, pin=(pin_name, pin_val))
     if args.json:
@@ -229,19 +228,11 @@ def main(argv=None) -> int:
         for d in ex.diagnostics:
             print(str(d), file=sys.stderr)
         return 2
-    except (_InputError, WeightLimitError, CacheLimitError) as ex:
+    except (_InputError, WeightLimitError, CacheLimitError, OSError,
+            AlgebraError, ScalarError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
-    except OSError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
-    except (AlgebraError, ScalarError) as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
-    except AnsatzError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 1
-    except (CalculusError, PBWError) as ex:
+    except (AnsatzError, CalculusError, PBWError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1
 

@@ -12,9 +12,7 @@ rendering.
 
 from __future__ import annotations
 
-from .algebra import (
-    AlgebraError, Presentation, TPoly, mono_sort_key, render_tmono,
-    scalar_prefix)
+from .algebra import AlgebraError, Presentation, TPoly, render_terms
 
 
 class LPoly:
@@ -30,16 +28,6 @@ class LPoly:
     def from_coeff_list(cls, pres: Presentation, var: str, coeffs) -> "LPoly":
         return cls(pres, (var,),
                    {(k,): X for k, X in enumerate(coeffs) if not X.is_zero})
-
-    def coeff_list(self) -> list[TPoly]:
-        """Dense coefficient list; only for univariate LPolys."""
-        if len(self.vars) != 1:
-            raise AlgebraError("coeff_list needs exactly one variable")
-        top = max((e[0] for e in self.terms), default=-1)
-        out = [self.pres.zero() for _ in range(top + 1)]
-        for e, X in self.terms.items():
-            out[e[0]] = X
-        return out
 
     @property
     def is_zero(self) -> bool:
@@ -114,21 +102,7 @@ class LPoly:
 # -- rendering ---------------------------------------------------------------
 
 def render_lpoly(p: LPoly) -> str:
-    if p.is_zero:
-        return "0"
-    pres = p.pres
-    parts = []
-    for e in sorted(p.terms, key=lambda e: (sum(e), e)):
-        X = p.terms[e]
-        vpart = "*".join(
-            v if k == 1 else "%s^%d" % (v, k)
-            for v, k in zip(p.vars, e) if k)
-        for mono in sorted(X.terms, key=lambda m: mono_sort_key(pres, m)):
-            neg, coeff = scalar_prefix(X.terms[mono])
-            ms = render_tmono(pres, mono)
-            body = "*".join(x for x in (coeff, vpart, ms) if x) or "1"
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
+    return render_terms(p.pres, (
+        ("*".join(v if k == 1 else "%s^%d" % (v, k)
+                  for v, k in zip(p.vars, e) if k), p.terms[e])
+        for e in sorted(p.terms, key=lambda e: (sum(e), e))))

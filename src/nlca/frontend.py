@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .algebra import Presentation, TPoly
 from .formal import LPoly, render_lpoly
-from .scalars import Scalar, ScalarError, ScalarField
+from .scalars import Scalar, ScalarError, ScalarField, _read_int
 
 
 class Diagnostic(NamedTuple):
@@ -178,10 +178,10 @@ _RESERVED = ("T", "lambda")
 MAX_POWER = 100
 
 # Bound on the digits of an integer literal, Python's default int-string
-# limit.  _read_int reads a literal in chunks below the smallest limit
-# Python allows, so a file parses the same under any PYTHONINTMAXSTRDIGITS.
+# limit.  scalars._read_int reads a literal in chunks below the smallest
+# limit Python allows, so a file parses the same under any
+# PYTHONINTMAXSTRDIGITS.
 MAX_DIGITS = 4300
-_CHUNK_DIGITS = 500
 
 # Bound on the size of parsed scalars, measured by Scalar.complexity().  The
 # grammar applies + - * / to a and b, and multiplies out `x^k`, only if
@@ -198,6 +198,13 @@ MAX_NESTING = 50
 # square of this; at the bound affine_sl2 takes about a second.
 MAX_WEIGHT_UNITS = 2000
 
+# Bound on the additions of pbw.character's product formula: one pass over
+# the table for each T^n-generator of weight at most the bound, so a table
+# of many generators costs many times what MAX_WEIGHT_UNITS alone admits.
+# Sized to admit affine_sl2 (three generators of weight 1) at that bound,
+# 6,000 passes over 2,001 counts.
+MAX_CHARACTER_WORK = 3 * MAX_WEIGHT_UNITS * (MAX_WEIGHT_UNITS + 1)
+
 # Bound on the number of monomials pbw.enumerate_basis lists, counted
 # before it lists any: the count grows like the partition numbers, so a
 # small weight bound alone still lets the output run to millions of lines.
@@ -205,15 +212,6 @@ MAX_BASIS_SIZE = 100000
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}
-
-
-def _read_int(text: str) -> int:
-    """int(text) for a digit string of any length."""
-    head = len(text) % _CHUNK_DIGITS or _CHUNK_DIGITS
-    n = int(text[:head])
-    for i in range(head, len(text), _CHUNK_DIGITS):
-        n = n * 10 ** _CHUNK_DIGITS + int(text[i:i + _CHUNK_DIGITS])
-    return n
 
 
 def _rational(ts: _TokenStream) -> Fraction:
@@ -242,14 +240,16 @@ class _ExprParser:
         self.allow_lambda = allow_lambda
         self.depth = 0
 
-    def expression(self) -> dict[int, TPoly]:
+    def expression(self) -> list[TPoly]:
+        """Coefficient list, index = lambda-power."""
         ts = self.ts
-        out: dict[int, dict] = {}  # lambda power -> {monomial: scalar}
+        out: list[dict] = []  # per lambda power: {monomial: scalar}
         t = ts.peek()
         neg = ts.take_op("-")
         while True:
             k, mono, s = self.term()
-            terms = out.setdefault(k, {})
+            out.extend({} for _ in range(k + 1 - len(out)))
+            terms = out[k]
             if neg:
                 s = -s
             terms[mono] = (self._op(t, operator.add, terms[mono], s)
@@ -259,8 +259,7 @@ class _ExprParser:
                 break
             neg = t.text == "-"
         self._expect_end()
-        polys = {k: self.pres.poly(terms) for k, terms in out.items()}
-        return {k: x for k, x in polys.items() if not x.is_zero}
+        return [self.pres.poly(terms) for terms in out]
 
     def _expect_end(self):
         t = self.ts.peek()
@@ -519,8 +518,7 @@ class _FileParser:
                                      allow_lambda=True).expression()
             except _Halt:
                 continue
-            pres.set_bracket(a.text, b.text,
-                             {k: x for k, x in coeffs.items()})
+            pres.set_bracket(a.text, b.text, coeffs)
         return pres
 
     def _declare(self, seen, text, tok, kind) -> bool:
@@ -555,10 +553,10 @@ def parse_expression(pres: Presentation, text: str,
     try:
         coeffs = _ExprParser(ts, pres.field, pres).expression()
     except _Halt:
-        coeffs = {}
+        pass
     if diags:
         raise ParseError(diags)
-    return coeffs.get(0, pres.zero())
+    return coeffs[0]
 
 
 def parse_scalar(field: ScalarField, text: str,
@@ -579,10 +577,6 @@ def parse_scalar(field: ScalarField, text: str,
 
 # -- rendering ---------------------------------------------------------------
 
-def _fmt_rat(q: Fraction) -> str:
-    return str(q)
-
-
 def render_presentation(pres: Presentation) -> str:
     lines = []
     if pres.name:
@@ -594,10 +588,9 @@ def render_presentation(pres: Presentation) -> str:
     if lines:
         lines.append("")
     for g in pres.generators:
-        w = "" if g.weight is None else " weight=%s" % _fmt_rat(g.weight)
+        w = "" if g.weight is None else " weight=%s" % g.weight
         lines.append("generator %s parity=%s degree=%s%s;"
-                     % (g.name, "odd" if g.parity else "even",
-                        _fmt_rat(g.degree), w))
+                     % (g.name, "odd" if g.parity else "even", g.degree, w))
     lines.append("")
     for i, j in pres.given_pairs():
         lp = LPoly.from_coeff_list(pres, "lambda", pres.pair_coeffs(i, j))
@@ -607,30 +600,7 @@ def render_presentation(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def same_presentation(p: Presentation, q: Presentation) -> bool:
-    """Structural equality, ignoring object identity."""
-    if (p.name != q.name or p.params != q.params or p.unknowns != q.unknowns):
-        return False
-    if tuple((g.name, g.parity, g.degree, g.weight) for g in p.generators) != \
-       tuple((g.name, g.parity, g.degree, g.weight) for g in q.generators):
-        return False
-    if p.given_pairs() != q.given_pairs():
-        return False
-    for key in p.given_pairs():
-        a = p.pair_coeffs(*key)
-        b = q.pair_coeffs(*key)
-        if len(a) != len(b) or any(x.terms != y.terms for x, y in zip(a, b)):
-            return False
-    return True
-
-
 # -- bundled algebra files ---------------------------------------------------
-
-def bundled_names() -> list[str]:
-    root = resources.files(__package__) / "algebras"
-    return sorted(p.name[:-5] for p in root.iterdir()
-                  if p.name.endswith(".nlca"))
-
 
 def load_bundled(name: str) -> Presentation:
     path = resources.files(__package__) / "algebras" / (name + ".nlca")

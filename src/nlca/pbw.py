@@ -17,7 +17,7 @@ from math import lcm
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
 from .calculus import Engine
-from .frontend import MAX_BASIS_SIZE, MAX_WEIGHT_UNITS
+from .frontend import MAX_BASIS_SIZE, MAX_CHARACTER_WORK, MAX_WEIGHT_UNITS
 
 
 class PBWError(Exception):
@@ -25,8 +25,9 @@ class PBWError(Exception):
 
 
 class WeightLimitError(PBWError):
-    """A character or basis past MAX_WEIGHT_UNITS steps of weight, or a
-    basis of more than MAX_BASIS_SIZE monomials."""
+    """A character or basis past MAX_WEIGHT_UNITS steps of weight or
+    MAX_CHARACTER_WORK additions, or a basis of more than MAX_BASIS_SIZE
+    monomials."""
 
 
 def inversions(pres: Presentation, mono: TMono) -> int:
@@ -157,8 +158,7 @@ def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
     of the weights reachable from each suffix of the candidates says the
     rest of the weight can still be made, so every branch ends in output.
     The dimension is counted first by the product formula of `character`;
-    past MAX_WEIGHT_UNITS steps or MAX_BASIS_SIZE monomials it raises
-    WeightLimitError.
+    past its limits or MAX_BASIS_SIZE monomials it raises WeightLimitError.
     """
     if not pres.weights_declared:
         raise PBWError("cannot enumerate a basis without conformal weights")
@@ -171,8 +171,8 @@ def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
     if top.denominator != 1:
         return []
     top = int(top)
-    _check_weight_units("basis at weight %s" % weight, top)
-    if _dims(pres, unit, top)[top] > MAX_BASIS_SIZE:
+    dims = _dims(pres, "basis at weight %s" % weight, unit, top)
+    if dims[top] > MAX_BASIS_SIZE:
         raise WeightLimitError("basis at weight %s has more than %d monomials"
                                % (weight, MAX_BASIS_SIZE))
     cands = []
@@ -231,18 +231,23 @@ def character(pres: Presentation, max_weight) -> dict[Fraction, int]:
     _require_positive_weights(pres)
     unit = _weight_unit(pres)
     top = int(max_weight * unit)
-    _check_weight_units("character to weight %s" % max_weight, top)
-    return {Fraction(k, unit): d for k, d in enumerate(_dims(pres, unit, top))}
+    dims = _dims(pres, "character to weight %s" % max_weight, unit, top)
+    return {Fraction(k, unit): d for k, d in enumerate(dims)}
 
 
-def _check_weight_units(what: str, top: int) -> None:
+def _dims(pres: Presentation, what: str, unit: int, top: int) -> list[int]:
+    """dims[k] = dimension at weight k/unit, for k = 0..top (weights
+    positive).  The work is one pass over the top + 1 counts for each
+    T^n-generator of weight at most top/unit; before any pass, `what` is
+    refused past MAX_WEIGHT_UNITS steps or MAX_CHARACTER_WORK additions."""
     if top > MAX_WEIGHT_UNITS:
         raise WeightLimitError("%s needs %d weight steps, past the limit %d"
                                % (what, top, MAX_WEIGHT_UNITS))
-
-
-def _dims(pres: Presentation, unit: int, top: int) -> list[int]:
-    """dims[k] = dimension at weight k/unit, for k = 0..top."""
+    work = (top + 1) * sum(max(0, (top - int(g.weight * unit)) // unit + 1)
+                           for g in pres.generators)
+    if work > MAX_CHARACTER_WORK:
+        raise WeightLimitError("%s needs %d additions, past the limit %d"
+                               % (what, work, MAX_CHARACTER_WORK))
     dims = [1] + [0] * top
     for g in pres.generators:
         for w in range(int(g.weight * unit), top + 1, unit):

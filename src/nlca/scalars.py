@@ -257,29 +257,22 @@ class Scalar:
         return len(self.raw.numer) + len(self.raw.denom)
 
 
-def canonicalize(s: Scalar) -> Scalar:
-    """Return the canonical form of s.
-
-    The backing representation is already canonical (reduced, denominator
-    with positive leading coefficient), so this verifies the invariants and
-    returns s unchanged.  Idempotent by construction.
-    """
-    den = s.raw.denom
-    if not den:
-        raise ScalarError("zero denominator")
-    lc = den.LC
-    if lc <= 0:
-        raise ScalarError("denominator not normalized: leading coefficient %s" % (lc,))
-    return s
-
-
 # -- rendering ---------------------------------------------------------------
 
-# str() refuses ints of more than sys.get_int_max_str_digits() digits (4300
-# by default, never below 640); _fmt_int renders longer ones exactly, in
-# chunks this long.
+# str() and int() refuse more than sys.get_int_max_str_digits() digits (4300
+# by default, never below 640); _fmt_int and _read_int convert longer ones
+# exactly, in chunks this long.
 _CHUNK_DIGITS = 500
 _CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _read_int(text: str) -> int:
+    """int(text) for a digit string of any length."""
+    head = len(text) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    n = int(text[:head])
+    for i in range(head, len(text), _CHUNK_DIGITS):
+        n = n * _CHUNK + int(text[i:i + _CHUNK_DIGITS])
+    return n
 
 
 def _fmt_int(n: int) -> str:

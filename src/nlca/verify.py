@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dfield
+from itertools import product
 
 from .algebra import Presentation, TPoly, render_tpoly
 from .calculus import Engine
@@ -145,14 +146,18 @@ def check_grading(pres: Presentation) -> CheckResult:
     return _timed(lambda: _rule_check(pres, "grading", ("degree", "parity")))
 
 
+def all_triples(pres: Presentation) -> list[tuple[str, str, str]]:
+    """Every ordered triple of generator names, the default Jacobi triples."""
+    return list(product([g.name for g in pres.generators], repeat=3))
+
+
 def check_jacobi(pres: Presentation, engine: Engine | None = None,
                  reducer: Reducer | None = None, triples=None) -> CheckResult:
     """Jacobiator of every generator triple must reduce to zero."""
     engine = engine or Engine(pres)
     reducer = reducer or Reducer(engine)
     if triples is None:
-        names = [g.name for g in pres.generators]
-        triples = [(a, b, c) for a in names for b in names for c in names]
+        triples = all_triples(pres)
 
     def run():
         res = CheckResult("jacobi", "pass")

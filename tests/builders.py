@@ -1,10 +1,12 @@
 """Programmatic presentation constructors used across the test suite.
 
 These are built directly through the algebra API, independent of the DSL
-files bundled with the package; the frontend tests compare the two.
+files bundled with the package; the frontend tests compare the two with
+same_presentation.
 """
 
 from fractions import Fraction
+from importlib import resources
 
 from nlca.algebra import Presentation
 
@@ -12,23 +14,24 @@ from nlca.algebra import Presentation
 def make_virasoro():
     p = Presentation([("L", 0, 2, 2)], params=("c",), name="virasoro")
     c = p.field.param("c")
-    p.set_bracket("L", "L", {
-        0: p.gen("L", 1),
-        1: p.gen("L").scale(2),
-        3: p.unit().scale(c / 12),
-    })
+    p.set_bracket("L", "L", [
+        p.gen("L", 1),
+        p.gen("L").scale(2),
+        p.zero(),
+        p.unit().scale(c / 12),
+    ])
     return p
 
 
 def make_free_boson():
     p = Presentation([("a", 0, 1, 1)], name="free_boson")
-    p.set_bracket("a", "a", {1: p.unit()})
+    p.set_bracket("a", "a", [p.zero(), p.unit()])
     return p
 
 
 def make_free_fermion():
     p = Presentation([("phi", 1, 1, Fraction(1, 2))], name="free_fermion")
-    p.set_bracket("phi", "phi", {0: p.unit()})
+    p.set_bracket("phi", "phi", [p.unit()])
     return p
 
 
@@ -36,33 +39,35 @@ def make_affine_sl2():
     p = Presentation([("e", 0, 1, 1), ("h", 0, 1, 1), ("f", 0, 1, 1)],
                      params=("k",), name="affine_sl2")
     k = p.field.param("k")
-    p.set_bracket("h", "h", {1: p.unit().scale(2 * k)})
-    p.set_bracket("h", "e", {0: p.gen("e").scale(2)})
-    p.set_bracket("h", "f", {0: p.gen("f").scale(-2)})
-    p.set_bracket("e", "f", {0: p.gen("h"), 1: p.unit().scale(k)})
-    p.set_bracket("e", "e", {})
-    p.set_bracket("f", "f", {})
+    p.set_bracket("h", "h", [p.zero(), p.unit().scale(2 * k)])
+    p.set_bracket("h", "e", [p.gen("e").scale(2)])
+    p.set_bracket("h", "f", [p.gen("f").scale(-2)])
+    p.set_bracket("e", "f", [p.gen("h"), p.unit().scale(k)])
+    p.set_bracket("e", "e", [])
+    p.set_bracket("f", "f", [])
     return p
 
 
 def _w3_table(p, alpha, beta, gamma, delta, epsilon):
     c = p.field.param("c")
-    p.set_bracket("L", "L", {
-        0: p.gen("L", 1),
-        1: p.gen("L").scale(2),
-        3: p.unit().scale(c / 12),
-    })
-    p.set_bracket("L", "W", {0: p.gen("W", 1), 1: p.gen("W").scale(3)})
+    p.set_bracket("L", "L", [
+        p.gen("L", 1),
+        p.gen("L").scale(2),
+        p.zero(),
+        p.unit().scale(c / 12),
+    ])
+    p.set_bracket("L", "W", [p.gen("W", 1), p.gen("W").scale(3)])
     LL = p.poly({p.mono(("L", 1), "L"): alpha, p.mono("L", ("L", 1)): alpha})
-    p.set_bracket("W", "W", {
-        0: LL + p.gen("W", 2).scale(beta) + p.gen("L", 3).scale(gamma),
-        1: (p.poly({p.mono("L", "L"): 2 * alpha})
-            + p.gen("W", 1).scale(2 * beta)
-            + p.gen("L", 2).scale(2 * gamma + delta)),
-        2: p.gen("L", 1).scale(3 * delta),
-        3: p.gen("L").scale(2 * delta),
-        5: p.unit().scale(epsilon),
-    })
+    p.set_bracket("W", "W", [
+        LL + p.gen("W", 2).scale(beta) + p.gen("L", 3).scale(gamma),
+        (p.poly({p.mono("L", "L"): 2 * alpha})
+         + p.gen("W", 1).scale(2 * beta)
+         + p.gen("L", 2).scale(2 * gamma + delta)),
+        p.gen("L", 1).scale(3 * delta),
+        p.gen("L").scale(2 * delta),
+        p.zero(),
+        p.unit().scale(epsilon),
+    ])
 
 
 def make_w3():
@@ -91,3 +96,24 @@ BUILDERS = {
     "w3": make_w3,
     "w3_ansatz": make_w3_ansatz,
 }
+
+
+def bundled_names():
+    """The names of the algebra files shipped with the package."""
+    root = resources.files("nlca") / "algebras"
+    return sorted(p.name[:-5] for p in root.iterdir()
+                  if p.name.endswith(".nlca"))
+
+
+def same_presentation(p, q):
+    """Structural equality, ignoring object identity."""
+    if (p.name, p.params, p.unknowns) != (q.name, q.params, q.unknowns):
+        return False
+    if ([(g.name, g.parity, g.degree, g.weight) for g in p.generators]
+            != [(g.name, g.parity, g.degree, g.weight) for g in q.generators]):
+        return False
+    if p.given_pairs() != q.given_pairs():
+        return False
+    return all([x.terms for x in p.pair_coeffs(*key)]
+               == [y.terms for y in q.pair_coeffs(*key)]
+               for key in p.given_pairs())

@@ -15,12 +15,12 @@ from nlca.algebra import Presentation, apply_T
 from nlca.ansatz import extract_system, solve_and_substitute
 from nlca.calculus import Engine
 from nlca.cli import main
-from nlca.frontend import (load_bundled, parse_source, render_presentation,
-                           same_presentation)
+from nlca.frontend import load_bundled, parse_source, render_presentation
 from nlca.pbw import Reducer, character
 from nlca.scalars import nullspace, scalar_field
 
-from builders import BUILDERS, _w3_table, make_virasoro, make_w3, make_w3_ansatz
+from builders import (BUILDERS, _w3_table, make_virasoro, make_w3,
+                      make_w3_ansatz, same_presentation)
 
 FIVE = ("virasoro", "free_boson", "free_fermion", "affine_sl2", "w3")
 GOLDEN = Path(__file__).parent / "golden"

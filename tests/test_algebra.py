@@ -127,49 +127,75 @@ def test_validate_clean_presentations():
 
 def test_validate_grading_violation():
     p = Presentation([("L", 0, 2, 2)], params=("c",))
-    p.set_bracket("L", "L", {0: p.poly({p.mono("L", "L"): 1})})
+    p.set_bracket("L", "L", [p.poly({p.mono("L", "L"): 1})])
     out = p.validate()
     assert any("degree" in v for v in out)
 
 
 def test_validate_parity_violation():
     p = Presentation([("phi", 1, 1, Fraction(1, 2))])
-    p.set_bracket("phi", "phi", {0: p.gen("phi")})
+    p.set_bracket("phi", "phi", [p.gen("phi")])
     out = p.validate()
     assert any("parity" in v for v in out)
 
 
 def test_validate_weight_violation():
     p = Presentation([("L", 0, 2, 2)], params=("c",))
-    p.set_bracket("L", "L", {0: p.gen("L")})
+    p.set_bracket("L", "L", [p.gen("L")])
     out = p.validate()
     assert any("weight" in v for v in out)
 
 
 def test_validate_weightless_skips_weight_rule():
     p = Presentation([("L", 0, 2, None)], params=("c",))
-    p.set_bracket("L", "L", {0: p.gen("L")})
+    p.set_bracket("L", "L", [p.gen("L")])
     assert p.validate() == []
 
 
 def test_validate_ansatz_linearity():
     p = Presentation([("L", 0, 2, 2)], unknowns=("u",))
     u = p.field.param("u")
-    p.set_bracket("L", "L", {0: p.gen("L", 1).scale(u * u)})
+    p.set_bracket("L", "L", [p.gen("L", 1).scale(u * u)])
     assert any("affine" in v for v in p.validate())
     q = Presentation([("M", 0, 2, 2)], unknowns=("v",))
     v = q.field.param("v")
-    q.set_bracket("M", "M", {0: q.gen("M", 1).scale(1 / (1 + v))})
+    q.set_bracket("M", "M", [q.gen("M", 1).scale(1 / (1 + v))])
     assert any("denominator" in v2 for v2 in q.validate())
 
 
 def test_set_bracket_after_engine_is_an_error():
     p = make_virasoro()
-    p.set_bracket("L", "L", {0: p.gen("L", 1)})
+    p.set_bracket("L", "L", [p.gen("L", 1)])
     Engine(p)
     with pytest.raises(AlgebraError, match="Engine has been built"):
-        p.set_bracket("L", "L", {0: p.gen("L", 1), 1: p.gen("L").scale(2)})
+        p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(2)])
     assert p.pair_coeffs(0, 0) == [p.gen("L", 1)]
+
+
+def test_set_bracket_takes_a_trimmed_list():
+    p = Presentation([("L", 0, 2, 2)], params=("c",))
+    p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(2), p.zero(),
+                             p.zero()])
+    assert p.pair_coeffs(0, 0) == [p.gen("L", 1), p.gen("L").scale(2)]
+    p.set_bracket("L", "L", [p.zero()])
+    assert p.pair_coeffs(0, 0) == []
+    assert p.given_pairs() == [(0, 0)]
+
+
+def test_set_bracket_rejects_bad_names_and_coefficients():
+    p = Presentation([("L", 0, 2, 2)], params=("c",))
+    q = make_virasoro()
+    with pytest.raises(AlgebraError, match="over this presentation"):
+        p.set_bracket("L", "L", [q.gen("L", 1)])
+    with pytest.raises(AlgebraError, match="list of TPolys"):
+        p.set_bracket("L", "L", [p.gen("L", 1), 2])
+    # the sparse {lambda-power: TPoly} form is refused, not installed
+    with pytest.raises(AlgebraError, match="list of TPolys"):
+        p.set_bracket("L", "L", {1: p.gen("L").scale(2)})
+    with pytest.raises(AlgebraError, match="unknown generator 'M'"):
+        p.set_bracket("L", "M", [])
+    assert p.given_pairs() == []
+    assert p.pair_coeffs(0, 0) == []
 
 
 def test_duplicate_and_shadowed_names():

@@ -124,8 +124,8 @@ def test_central_charge_is_a_free_direction():
     # Virasoro with an unknown central term: Jacobi never constrains it
     p = Presentation([("L", 0, 2, 2)], unknowns=("eps",))
     e = p.field.param("eps")
-    p.set_bracket("L", "L", {0: p.gen("L", 1), 1: p.gen("L").scale(2),
-                             3: p.unit().scale(e / 12)})
+    p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(2), p.zero(),
+                             p.unit().scale(e / 12)])
     sys = extract_system(p)
     assert sys.rows == []
     f = scalar_field(())
@@ -143,7 +143,7 @@ def test_extract_requires_unknowns():
 def test_extract_rejects_invalid_tables():
     p = Presentation([("L", 0, 2, 2)], unknowns=("u",))
     u = p.field.param("u")
-    p.set_bracket("L", "L", {0: p.gen("L", 1).scale(u * u)})
+    p.set_bracket("L", "L", [p.gen("L", 1).scale(u * u)])
     with pytest.raises(AnsatzError, match="invalid presentation"):
         extract_system(p)
 

@@ -89,8 +89,8 @@ def test_lie_and_jacobi_sl2(affine_sl2, engines):
     p = affine_sl2
     e = engines["affine_sl2"]
     k = p.field.param("k")
-    assert e.pbracket(p.gen("e"), p.gen("f")).coeff_list() == \
-        [p.gen("h"), p.unit().scale(k)]
+    assert e.pbracket(p.gen("e"), p.gen("f")) == \
+        LPoly.from_coeff_list(p, "lambda", [p.gen("h"), p.unit().scale(k)])
     assert e.lie(p.gen("e"), p.gen("f")) == p.gen("h", 1)
     assert e.lie(p.gen("h"), p.gen("h")).is_zero
     assert e.jacobiator(p.gen("e"), p.gen("f"), p.gen("h")).is_zero

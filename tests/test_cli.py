@@ -442,3 +442,17 @@ def test_usage_and_input_errors(tmp_path, capsys):
     code, out, err = run(capsys, ["solve", bundled_path("w3_ansatz")])
     assert code == 2
     assert "--pin" in err
+
+
+def test_character_work_limit(capsys, tmp_path):
+    f = tmp_path / "many.nlca"
+    f.write_text("".join("generator g%d parity=even degree=1 weight=1;\n" % i
+                         for i in range(50)))
+    code, out, err = run(capsys, ["character", str(f), "--max-weight", "1000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: character to weight 1000 needs 50050000 "
+                   "additions, past the limit 12006000\n")
+    code, out, err = run(capsys, ["basis", str(f), "--weight", "2000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: basis at weight 2000 needs 200100000 additions, "
+                   "past the limit 12006000\n")

@@ -3,13 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlca.frontend import (ParseError, bundled_names, load_bundled,
-                           parse_expression, parse_path, parse_scalar,
-                           parse_source, render_presentation,
-                           same_presentation)
+from nlca.frontend import (ParseError, load_bundled, parse_expression,
+                           parse_path, parse_scalar, parse_source,
+                           render_presentation)
 from nlca.scalars import scalar_field
 
-from builders import BUILDERS
+from builders import BUILDERS, bundled_names, same_presentation
 
 
 def test_bundled_names():

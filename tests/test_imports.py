@@ -1,4 +1,5 @@
-"""Every import in the package and the test suite is used."""
+"""Every import in the package and the test suite is used, and every
+public function or class of the package is used by the package itself."""
 
 import ast
 from pathlib import Path
@@ -53,4 +54,18 @@ def test_no_unused_imports():
             for name, line in _bound_names(node):
                 if name not in used:
                     found.append("%s:%d: %s" % (path.name, line, name))
+    assert found == []
+
+
+def test_no_library_code_only_tests_use():
+    """Each public module-level function or class of src/nlca is read
+    somewhere in the package, or exported in nlca.__all__ (read by
+    _used_names from __init__.py)."""
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in sorted((ROOT / "src" / "nlca").glob("*.py"))}
+    used = set().union(*(_used_names(tree) for tree in trees.values()))
+    found = ["%s:%d: %s" % (name, node.lineno, node.name)
+             for name, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_") and node.name not in used]
     assert found == []

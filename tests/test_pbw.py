@@ -9,10 +9,11 @@ import pytest
 from nlca.algebra import Presentation, TPoly
 from nlca.algebra import render_tpoly
 from nlca.calculus import Engine
-from nlca.frontend import MAX_WEIGHT_UNITS, bundled_names, load_bundled
+from nlca.frontend import MAX_WEIGHT_UNITS, load_bundled
 from nlca.pbw import (PBWError, Reducer, WeightLimitError, character,
                       enumerate_basis, inversions, is_normally_ordered)
 
+from builders import bundled_names
 from conftest import CONCRETE
 from randgen import random_mono, random_rgen, random_tensor
 
@@ -312,13 +313,13 @@ def test_enumerate_basis_limits(monkeypatch, virasoro):
 
 def test_basis_requires_weights():
     p = Presentation([("x", 0, 1, None)])
-    p.set_bracket("x", "x", {})
+    p.set_bracket("x", "x", [])
     with pytest.raises(PBWError):
         enumerate_basis(p, 2)
     with pytest.raises(PBWError):
         character(p, 2)
     q = Presentation([("x", 0, 1, 0)])
-    q.set_bracket("x", "x", {})
+    q.set_bracket("x", "x", [])
     with pytest.raises(PBWError):
         enumerate_basis(q, 2)
 
@@ -419,6 +420,19 @@ def test_character_weight_limit(virasoro, free_fermion):
                  (free_fermion, Fraction(MAX_WEIGHT_UNITS + 1, 2))):
         with pytest.raises(PBWError):
             character(p, w)
+
+
+def test_character_work_limit(affine_sl2):
+    # the passes of the product formula are bounded too: one per
+    # T^n-generator up to the weight, each over the whole table
+    assert len(character(affine_sl2, MAX_WEIGHT_UNITS)) == MAX_WEIGHT_UNITS + 1
+    many = Presentation([("g%d" % i, 0, 1, 1) for i in range(50)])
+    assert character(many, 100)[Fraction(1)] == 50
+    for w in (500, 1000):
+        with pytest.raises(WeightLimitError, match="additions, past the limit"):
+            character(many, w)
+    with pytest.raises(WeightLimitError, match="additions, past the limit"):
+        enumerate_basis(many, MAX_WEIGHT_UNITS)
 
 
 def test_character_does_not_enumerate(monkeypatch, virasoro, affine_sl2):

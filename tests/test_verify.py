@@ -46,8 +46,8 @@ def _broken_skew_virasoro():
     # skewsymmetric, though weights and grading still hold
     p = Presentation([("L", 0, 2, 2)], params=("c",))
     c = p.field.param("c")
-    p.set_bracket("L", "L", {0: p.gen("L", 1), 1: p.gen("L").scale(3),
-                             3: p.unit().scale(c / 12)})
+    p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(3), p.zero(),
+                             p.unit().scale(c / 12)])
     return p
 
 
@@ -82,8 +82,8 @@ def test_weights_failure_direct():
     # declared weight is wrong for the table; every coefficient is flagged
     p = Presentation([("L", 0, 2, 3)], params=("c",))
     c = p.field.param("c")
-    p.set_bracket("L", "L", {0: p.gen("L", 1), 1: p.gen("L").scale(2),
-                             3: p.unit().scale(c / 12)})
+    p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(2), p.zero(),
+                             p.unit().scale(c / 12)])
     res = check_weights(p)
     assert res.status == "fail"
     assert [(w.operands, w.where, w.residue) for w in res.witnesses] == [
@@ -96,8 +96,8 @@ def test_weights_failure_direct():
 def test_weightless_presentation_skips_weights():
     p = Presentation([("L", 0, 2, None)], params=("c",))
     c = p.field.param("c")
-    p.set_bracket("L", "L", {0: p.gen("L", 1), 1: p.gen("L").scale(2),
-                             3: p.unit().scale(c / 12)})
+    p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(2), p.zero(),
+                             p.unit().scale(c / 12)])
     rep = run_all(p)
     assert rep.results[2].check == "weights"
     assert rep.results[2].status == "skipped"
@@ -107,7 +107,7 @@ def test_weightless_presentation_skips_weights():
 
 def test_validation_failure_skips_the_rest():
     p = Presentation([("L", 0, 2, 2)], params=("c",))
-    p.set_bracket("L", "L", {0: p.poly({p.mono("L", "L"): 1})})
+    p.set_bracket("L", "L", [p.poly({p.mono("L", "L"): 1})])
     rep = run_all(p)
     assert rep.results[0].status == "fail"
     assert rep.results[0].notes
