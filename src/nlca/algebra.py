@@ -183,8 +183,9 @@ def apply_T(x: TPoly, k: int = 1) -> TPoly:
 class Presentation:
     """Generator declarations plus a lambda-bracket table.
 
-    Frozen once an Engine is built on it: engines cache against object
-    identity, so set_bracket raises from then on.
+    `generators` are (name, parity, degree, weight) tuples, weight None
+    where undeclared.  Frozen once an Engine is built on it: engines cache
+    against object identity, so set_bracket raises from then on.
     """
 
     def __init__(self, generators, params=(), unknowns=(), name=None):
@@ -195,22 +196,21 @@ class Presentation:
         if overlap:
             raise AlgebraError("params and unknowns overlap: %s" % (sorted(overlap),))
         self.field = scalar_field(self.params + self.unknowns)
-        decls = []
-        for i, g in enumerate(generators):
-            if isinstance(g, GeneratorDecl):
-                g = GeneratorDecl(g.name, g.parity, Fraction(g.degree),
-                                  None if g.weight is None else Fraction(g.weight), i)
-            else:
-                nm, parity, degree, weight = g
-                g = GeneratorDecl(nm, parity, Fraction(degree),
-                                  None if weight is None else Fraction(weight), i)
-            decls.append(g)
-        self.generators = tuple(decls)
-        # generator metadata in integer units, for the hot order and degree
-        # checks: degrees in units of 1/degree_unit, the lcm of their
-        # denominators; parity bits; ranks in (degree, index) order
+        self.generators = decls = tuple(
+            GeneratorDecl(nm, parity, Fraction(degree),
+                          None if weight is None else Fraction(weight), i)
+            for i, (nm, parity, degree, weight) in enumerate(generators))
+        # generator metadata as ints for the hot checks: degrees in units of
+        # 1/degree_unit, weights (None if undeclared) in units of
+        # 1/weight_unit, each the lcm of the denominators; parity bits; ranks
+        # in (degree, index) order
         self.degree_unit = lcm(*(g.degree.denominator for g in decls))
         self.gen_units = tuple(int(g.degree * self.degree_unit) for g in decls)
+        self.weight_unit = lcm(*(g.weight.denominator for g in decls
+                                 if g.weight is not None))
+        self.gen_weights = tuple(
+            None if g.weight is None else int(g.weight * self.weight_unit)
+            for g in decls)
         self.gen_parity = tuple(g.parity for g in decls)
         rank = [0] * len(decls)
         for r, g in enumerate(sorted(decls, key=lambda g: (g.degree, g.index))):
@@ -231,7 +231,7 @@ class Presentation:
 
     @property
     def weights_declared(self) -> bool:
-        return all(g.weight is not None for g in self.generators)
+        return None not in self.gen_weights
 
     # -- element constructors ------------------------------------------------
 
@@ -271,19 +271,6 @@ class Presentation:
 
     # -- metadata ------------------------------------------------------------
 
-    def rgen_degree(self, rg: RGen) -> Fraction:
-        return self.generators[rg.gen].degree
-
-    def rgen_parity(self, rg: RGen) -> int:
-        return self.generators[rg.gen].parity
-
-    def rgen_weight(self, rg: RGen) -> Fraction:
-        w = self.generators[rg.gen].weight
-        if w is None:
-            raise AlgebraError("generator %s has no conformal weight"
-                               % (self.generators[rg.gen].name,))
-        return w + rg.n
-
     def rgen_key(self, rg: RGen):
         """Total order on T^n-generators: by degree, then declaration, then
         n; the first two as the generator's rank."""
@@ -302,7 +289,14 @@ class Presentation:
         return sum([bits[g] for g, _ in mono]) & 1
 
     def mono_weight(self, mono: TMono) -> Fraction:
-        return sum((self.rgen_weight(rg) for rg in mono), Fraction(0))
+        unit, units = self.weight_unit, self.gen_weights
+        total = 0
+        for g, n in mono:
+            if units[g] is None:
+                raise AlgebraError("generator %s has no conformal weight"
+                                   % (self.generators[g].name,))
+            total += units[g] + n * unit
+        return Fraction(total, unit)
 
     def parity_sign(self, a: TMono, b: TMono) -> int:
         """Koszul sign (-1)^{p(a)p(b)}."""

@@ -23,14 +23,10 @@ from .verify import Report, all_triples, run_all
 
 
 class AnsatzError(Exception):
-    def __init__(self, msg, basis=None):
-        super().__init__(msg)
-        self.basis = basis
+    pass
 
 
 def extract_system(pres: Presentation, triples=None,
-                   engine: Engine | None = None,
-                   reducer: Reducer | None = None,
                    nonlinear: str = "error",
                    skipped: list | None = None) -> LinearSystem:
     """Linear equations on the unknowns from reduced jacobiators.
@@ -49,8 +45,8 @@ def extract_system(pres: Presentation, triples=None,
     violations = pres.validate()
     if violations:
         raise AnsatzError("invalid presentation: %s" % violations[0])
-    engine = engine or Engine(pres)
-    reducer = reducer or Reducer(engine)
+    engine = Engine(pres)
+    reducer = Reducer(engine)
     if triples is None:
         triples = all_triples(pres)
     target = scalar_field(pres.params)
@@ -108,7 +104,6 @@ class SolveResult:
     values: dict[str, Scalar]
     presentation: Presentation
     report: Report
-    basis: list
 
 
 def solve_and_substitute(pres: Presentation, system: LinearSystem,
@@ -137,7 +132,7 @@ def solve_and_substitute(pres: Presentation, system: LinearSystem,
     if len(basis) > 1:
         raise AnsatzError(
             "solution space has dimension %d; a single pin cannot fix it"
-            % len(basis), basis=basis)
+            % len(basis))
     v = basis[0]
     i = system.unknowns.index(name)
     if v[i].is_zero:
@@ -148,4 +143,4 @@ def solve_and_substitute(pres: Presentation, system: LinearSystem,
     values = {u: v[k] * scale for k, u in enumerate(system.unknowns)}
     solved = substitute_unknowns(pres, values)
     report = run_all(solved)
-    return SolveResult(values, solved, report, basis)
+    return SolveResult(values, solved, report)

@@ -65,9 +65,9 @@ class Engine:
         """N(x, y), the quasi-product extending juxtaposition."""
         return self._n_poly(x, y)
 
-    def pbracket(self, x: TPoly, y: TPoly, var: str = "lambda") -> LPoly:
-        """P_var(x, y), the quasi-bracket extending the generator table."""
-        return LPoly.from_coeff_list(self.pres, var, self._p_poly(x, y))
+    def pbracket(self, x: TPoly, y: TPoly) -> LPoly:
+        """P_lambda(x, y), the quasi-bracket extending the generator table."""
+        return LPoly.from_coeff_list(self.pres, "lambda", self._p_poly(x, y))
 
     def lie(self, x: TPoly, y: TPoly) -> TPoly:
         """Integral of the quasi-bracket over [-T, 0]."""
@@ -78,19 +78,18 @@ class Engine:
         sn = self.structure_defect("sn", self._mono((b,)), self._mono((c,)), D)
         return A.tensor(sn)
 
-    def jacobiator(self, x: TPoly, y: TPoly, z: TPoly,
-                   vars: tuple[str, str] = ("lambda", "mu")) -> LPoly:
-        """P_l(x, P_m(y,z)) - p(x,y) P_m(y, P_l(x,z)) - P_{l+m}(P_l(x,y), z)."""
+    def jacobiator(self, x: TPoly, y: TPoly, z: TPoly) -> LPoly:
+        """P_l(x, P_m(y,z)) - p(x,y) P_m(y, P_l(x,z)) - P_{l+m}(P_l(x,y), z),
+        an LPoly in (lambda, mu)."""
         acc = self._multilinear(
             lambda A, B, C: self._jac_mono(A, B, C).items(), (x, y, z))
-        return LPoly(self.pres, tuple(vars),
+        return LPoly(self.pres, ("lambda", "mu"),
                      {e: TPoly(self.pres, d) for e, d in acc.items() if d})
 
-    def structure_defect(self, kind: str, x: TPoly, y: TPoly, z: TPoly = None,
-                         var: str = "lambda"):
+    def structure_defect(self, kind: str, x: TPoly, y: TPoly, z: TPoly = None):
         """One of the named defects: sl, sn, wl, wr, q.
 
-        sl/wl/wr are lambda-polynomials (LPoly in var); sn/q are TPolys.
+        sl/wl/wr are lambda-polynomials (LPoly in lambda); sn/q are TPolys.
         All vanish identically when an argument is a bare generator in the
         slot the recursion peels, and always vanish after normal ordering.
         """
@@ -110,7 +109,7 @@ class Engine:
             acc = self._multilinear(lambda *ms: ((0, fn(*ms)),), xs)
             return TPoly(self.pres, acc.get(0, {}))
         acc = self._multilinear(lambda *ms: enumerate(fn(*ms)), xs)
-        return LPoly(self.pres, (var,),
+        return LPoly(self.pres, ("lambda",),
                      {(m,): TPoly(self.pres, d) for m, d in acc.items() if d})
 
     def _multilinear(self, kernel, xs: tuple) -> dict:

@@ -56,7 +56,7 @@ def _cmd_check(args):
     pres = _load(args.file)
     report = run_all(pres)
     if args.json:
-        _emit(report.to_json(timing=False))
+        _emit(report.to_json())
     else:
         print(report.to_text())
     return 0 if report.ok else 1
@@ -163,7 +163,7 @@ def _cmd_solve(args):
         _emit({"presentation": pres.name,
                "values": {u: str(res.values[u]) for u in pres.unknowns},
                "skipped": [list(t) for t in skipped],
-               "report": res.report.to_json(timing=False)})
+               "report": res.report.to_json()})
     else:
         for t in skipped:
             print("skipped (%s, %s, %s): jacobiator not affine in the "

@@ -11,10 +11,11 @@ Tensor monomials are written `:T^2 L W:` (or `1` for the empty monomial);
 scalars are rational expressions in the declared params/unknowns.  `#`
 starts a comment.  Only one bracket orientation per pair needs to be
 given; the other is derived by skewsymmetry.  An exponent `^k` (on lambda,
-T or a scalar) and the lambda-power of a term are at most MAX_POWER; an
-integer literal has at most MAX_DIGITS digits; a scalar's size is bounded
-by MAX_SCALAR_SIZE and its parenthesis nesting by MAX_NESTING.
-parse_scalar reads the same scalar grammar on its own.
+T or a scalar) and the lambda-power of a term are at most MAX_POWER; a
+`:...:` word has at most MAX_WORD factors; an integer literal has at most
+MAX_DIGITS digits; a scalar's size is bounded by MAX_SCALAR_SIZE and its
+parenthesis nesting by MAX_NESTING.  parse_scalar reads the same scalar
+grammar on its own.
 """
 
 import operator
@@ -176,6 +177,11 @@ _RESERVED = ("T", "lambda")
 # dense in the lambda-power and deriving the skew orientation costs its
 # square, so an unbounded exponent would let a short file run for minutes.
 MAX_POWER = 100
+
+# Bound on the factors of a `:...:` word.  The engine recurses once a left
+# factor, so this keeps a parsed word within Python's default recursion
+# limit (600 factors overflowed it); it bounds depth, not cost.
+MAX_WORD = 100
 
 # Bound on the digits of an integer literal, Python's default int-string
 # limit.  scalars._read_int reads a literal in chunks below the smallest
@@ -385,6 +391,8 @@ class _ExprParser:
                 ts.next()
             if t.text not in self.pres.gen_index:
                 ts.error(t, "unknown generator %r" % t.text)
+            if len(factors) == MAX_WORD:
+                ts.error(t, "word exceeds the limit of %d factors" % MAX_WORD)
             factors.append(self.pres.rgen(t.text, n))
         return tuple(factors)
 
@@ -400,13 +408,17 @@ class _FileParser:
         self.unknowns: list[tuple[str, Token]] = []
         self.gens: list[tuple] = []  # (name, parity, degree, weight, tok)
         self.brackets: list[tuple] = []  # (a_tok, b_tok, start, stop)
+        self.bad_declaration = False  # skips the bracket pass
 
     def parse(self) -> Presentation:
         ts = self.ts
         while ts.peek().kind != "eof":
+            head = ts.peek().text
             try:
                 self._statement()
             except _Halt:
+                if head in ("name", "param", "unknown", "generator"):
+                    self.bad_declaration = True
                 self._resync()
         pres = self._build()
         if self.diags:
@@ -490,7 +502,7 @@ class _FileParser:
         for nm, parity, degree, weight, tok in self.gens:
             if self._declare(seen, nm, tok, "generator"):
                 decls.append((nm, parity, degree, weight))
-        if d:
+        if self.bad_declaration:
             return None
         pres = Presentation(decls,
                             params=tuple(t for t, _ in self.params),
@@ -523,16 +535,15 @@ class _FileParser:
 
     def _declare(self, seen, text, tok, kind) -> bool:
         if text in _RESERVED:
-            self.diags.append(Diagnostic(self.file, tok.line, tok.col,
-                                         "%r is reserved" % text))
-            return False
-        if text in seen:
-            self.diags.append(Diagnostic(
-                self.file, tok.line, tok.col,
-                "%s %r already declared as a %s" % (kind, text, seen[text])))
-            return False
-        seen[text] = kind
-        return True
+            message = "%r is reserved" % text
+        elif text in seen:
+            message = "%s %r already declared as a %s" % (kind, text, seen[text])
+        else:
+            seen[text] = kind
+            return True
+        self.diags.append(Diagnostic(self.file, tok.line, tok.col, message))
+        self.bad_declaration = True
+        return False
 
 
 def parse_source(text: str, file: str = "<input>") -> Presentation:

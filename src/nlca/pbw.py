@@ -13,7 +13,6 @@ every rewrite.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
 from .calculus import Engine
@@ -138,14 +137,8 @@ def is_normally_ordered(pres: Presentation, mono: TMono) -> bool:
     return _leftmost_inversion(pres, mono) is None
 
 
-def _weight_unit(pres: Presentation) -> int:
-    """L, the lcm of the generator-weight denominators: every weight of a
-    monomial is a multiple of 1/L."""
-    return lcm(*(g.weight.denominator for g in pres.generators))
-
-
 def _require_positive_weights(pres: Presentation) -> None:
-    if any(g.weight <= 0 for g in pres.generators):
+    if any(w <= 0 for w in pres.gen_weights):
         raise PBWError("basis enumeration needs strictly positive weights")
 
 
@@ -166,26 +159,20 @@ def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
     weight = Fraction(weight)
     if weight < 0:
         return []
-    unit = _weight_unit(pres)
-    top = weight * unit
-    if top.denominator != 1:
+    unit = pres.weight_unit
+    top, off_lattice = divmod(weight.numerator * unit, weight.denominator)
+    if off_lattice:
         return []
-    top = int(top)
-    dims = _dims(pres, "basis at weight %s" % weight, unit, top)
+    dims = _dims(pres, "basis at weight %s" % weight, top)
     if dims[top] > MAX_BASIS_SIZE:
         raise WeightLimitError("basis at weight %s has more than %d monomials"
                                % (weight, MAX_BASIS_SIZE))
-    cands = []
-    for g in pres.generators:
-        n = 0
-        while g.weight + n <= weight:
-            cands.append(RGen(g.index, n))
-            n += 1
-    cands.sort(key=pres.rgen_key)
-    units = [int(pres.rgen_weight(rg) * unit) for rg in cands]
+    cands = sorted((RGen(g, n) for g, w in enumerate(pres.gen_weights)
+                    for n in range((top - w) // unit + 1)), key=pres.rgen_key)
+    units = [pres.gen_weights[g] + n * unit for g, n in cands]
     # after a factor at index ci the next one is drawn from index ci on;
     # an odd factor cannot repeat, so from ci + 1
-    nxt = [ci + pres.rgen_parity(rg) for ci, rg in enumerate(cands)]
+    nxt = [ci + pres.gen_parity[g] for ci, (g, _) in enumerate(cands)]
     # reach[ci] has bit r set iff cands[ci:] can make weight r (in units)
     full = (1 << (top + 1)) - 1
     reach = [0] * len(cands) + [1]
@@ -229,29 +216,31 @@ def character(pres: Presentation, max_weight) -> dict[Fraction, int]:
     if max_weight < 0:
         return {}
     _require_positive_weights(pres)
-    unit = _weight_unit(pres)
-    top = int(max_weight * unit)
-    dims = _dims(pres, "character to weight %s" % max_weight, unit, top)
+    unit = pres.weight_unit
+    top = max_weight.numerator * unit // max_weight.denominator
+    dims = _dims(pres, "character to weight %s" % max_weight, top)
     return {Fraction(k, unit): d for k, d in enumerate(dims)}
 
 
-def _dims(pres: Presentation, what: str, unit: int, top: int) -> list[int]:
-    """dims[k] = dimension at weight k/unit, for k = 0..top (weights
-    positive).  The work is one pass over the top + 1 counts for each
-    T^n-generator of weight at most top/unit; before any pass, `what` is
-    refused past MAX_WEIGHT_UNITS steps or MAX_CHARACTER_WORK additions."""
+def _dims(pres: Presentation, what: str, top: int) -> list[int]:
+    """dims[k] = dimension at weight k/L, for k = 0..top, L the weight_unit
+    of pres (weights positive).  The work is one pass over the top + 1
+    counts for each T^n-generator of weight at most top/L; before any pass,
+    `what` is refused past MAX_WEIGHT_UNITS steps or MAX_CHARACTER_WORK
+    additions."""
     if top > MAX_WEIGHT_UNITS:
         raise WeightLimitError("%s needs %d weight steps, past the limit %d"
                                % (what, top, MAX_WEIGHT_UNITS))
-    work = (top + 1) * sum(max(0, (top - int(g.weight * unit)) // unit + 1)
-                           for g in pres.generators)
+    unit = pres.weight_unit
+    work = (top + 1) * sum(max(0, (top - w) // unit + 1)
+                           for w in pres.gen_weights)
     if work > MAX_CHARACTER_WORK:
         raise WeightLimitError("%s needs %d additions, past the limit %d"
                                % (what, work, MAX_CHARACTER_WORK))
     dims = [1] + [0] * top
-    for g in pres.generators:
-        for w in range(int(g.weight * unit), top + 1, unit):
-            if g.parity:
+    for first, parity in zip(pres.gen_weights, pres.gen_parity):
+        for w in range(first, top + 1, unit):
+            if parity:
                 for k in range(top, w - 1, -1):
                     dims[k] += dims[k - w]
             else:

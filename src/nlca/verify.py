@@ -2,9 +2,11 @@
 
 run_all chains: structural validation, skewsymmetry of the bracket table,
 conformal weight bookkeeping, the grading bound, and the Jacobi identity
-modulo the PBW kernel.  Each check times itself and carries witnesses for
-failures; a jacobiator that is nonzero before reduction but vanishes after
-is recorded as a note, since that is the expected non-linear behaviour.
+modulo the PBW kernel.  run_all times each check and builds the one
+Engine and Reducer that skew and jacobi share.  A check carries witnesses
+for failures; a jacobiator that is nonzero before reduction but vanishes
+after is recorded as a note, since that is the expected non-linear
+behaviour.
 """
 
 from __future__ import annotations
@@ -38,13 +40,10 @@ class CheckResult:
     notes: list[str] = dfield(default_factory=list)
     time_ms: float = 0.0
 
-    def to_json(self, timing: bool = True):
-        out = {"check": self.check, "status": self.status,
-               "witnesses": [w.to_json() for w in self.witnesses],
-               "notes": list(self.notes)}
-        if timing:
-            out["time_ms"] = round(self.time_ms, 3)
-        return out
+    def to_json(self):
+        return {"check": self.check, "status": self.status,
+                "witnesses": [w.to_json() for w in self.witnesses],
+                "notes": list(self.notes)}
 
 
 @dataclass
@@ -56,9 +55,9 @@ class Report:
     def ok(self) -> bool:
         return all(r.status != "fail" for r in self.results)
 
-    def to_json(self, timing: bool = True):
+    def to_json(self):
         return {"presentation": self.presentation, "ok": self.ok,
-                "results": [r.to_json(timing) for r in self.results]}
+                "results": [r.to_json() for r in self.results]}
 
     def to_text(self) -> str:
         lines = []
@@ -78,37 +77,23 @@ class Report:
         return "\n".join(lines)
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    res = fn()
-    res.time_ms = (time.perf_counter() - t0) * 1000.0
-    return res
-
-
 def check_validate(pres: Presentation) -> CheckResult:
-    def run():
-        violations = pres.validate()
-        if violations:
-            return CheckResult("validate", "fail", notes=violations)
-        return CheckResult("validate", "pass")
-    return _timed(run)
+    violations = pres.validate()
+    return CheckResult("validate", "fail" if violations else "pass",
+                       notes=violations)
 
 
-def check_skew(pres: Presentation, engine: Engine | None = None) -> CheckResult:
+def check_skew(pres: Presentation, engine: Engine) -> CheckResult:
     """sl(a, b) must vanish identically for every ordered generator pair."""
-    engine = engine or Engine(pres)
-
-    def run():
-        res = CheckResult("skew", "pass")
-        for gi in pres.generators:
-            for gj in pres.generators:
-                d = engine.structure_defect("sl", pres.gen(gi.name), pres.gen(gj.name))
-                if not d.is_zero:
-                    res.status = "fail"
-                    res.witnesses.append(Witness(
-                        (gi.name, gj.name), "", render_lpoly(d)))
-        return res
-    return _timed(run)
+    res = CheckResult("skew", "pass")
+    for gi in pres.generators:
+        for gj in pres.generators:
+            d = engine.structure_defect("sl", pres.gen(gi.name), pres.gen(gj.name))
+            if not d.is_zero:
+                res.status = "fail"
+                res.witnesses.append(Witness(
+                    (gi.name, gj.name), "", render_lpoly(d)))
+    return res
 
 
 def _rule_check(pres: Presentation, name: str, rules) -> CheckResult:
@@ -133,17 +118,15 @@ def _rule_check(pres: Presentation, name: str, rules) -> CheckResult:
 def check_weights(pres: Presentation) -> CheckResult:
     """Every lambda^k coefficient of [a_i lambda a_j], in either orientation,
     must be weight-homogeneous of weight w_i + w_j - k - 1."""
-    def run():
-        if not pres.weights_declared:
-            return CheckResult("weights", "skipped",
-                               notes=["conformal weights not declared"])
-        return _rule_check(pres, "weights", ("weight",))
-    return _timed(run)
+    if not pres.weights_declared:
+        return CheckResult("weights", "skipped",
+                           notes=["conformal weights not declared"])
+    return _rule_check(pres, "weights", ("weight",))
 
 
 def check_grading(pres: Presentation) -> CheckResult:
     """Strict degree drop and parity preservation for both orientations."""
-    return _timed(lambda: _rule_check(pres, "grading", ("degree", "parity")))
+    return _rule_check(pres, "grading", ("degree", "parity"))
 
 
 def all_triples(pres: Presentation) -> list[tuple[str, str, str]]:
@@ -151,57 +134,56 @@ def all_triples(pres: Presentation) -> list[tuple[str, str, str]]:
     return list(product([g.name for g in pres.generators], repeat=3))
 
 
-def check_jacobi(pres: Presentation, engine: Engine | None = None,
-                 reducer: Reducer | None = None, triples=None) -> CheckResult:
+def check_jacobi(pres: Presentation, engine: Engine,
+                 reducer: Reducer) -> CheckResult:
     """Jacobiator of every generator triple must reduce to zero."""
-    engine = engine or Engine(pres)
-    reducer = reducer or Reducer(engine)
-    if triples is None:
-        triples = all_triples(pres)
-
-    def run():
-        res = CheckResult("jacobi", "pass")
-        for (na, nb, nc) in triples:
-            j = engine.jacobiator(pres.gen(na), pres.gen(nb), pres.gen(nc))
-            if j.is_zero:
-                continue
-            top = max(pres.mono_degree(m)
-                      for X in j.terms.values() for m in X.terms)
-            red = reducer.normal_order_lpoly(j)
-            if red.is_zero:
-                res.notes.append(
-                    "jacobiator(%s, %s, %s) has a nonzero pre-reduction "
-                    "residue of top degree %s; zero after normal ordering"
-                    % (na, nb, nc, top))
-            else:
-                res.status = "fail"
-                for e in sorted(red.terms):
-                    where = " ".join(
-                        "%s^%d" % (v, p) for v, p in zip(red.vars, e) if p)
-                    res.witnesses.append(Witness(
-                        (na, nb, nc), where or "constant term",
-                        render_tpoly(red.terms[e])))
-        return res
-    return _timed(run)
+    res = CheckResult("jacobi", "pass")
+    for (na, nb, nc) in all_triples(pres):
+        j = engine.jacobiator(pres.gen(na), pres.gen(nb), pres.gen(nc))
+        if j.is_zero:
+            continue
+        top = max(pres.mono_degree(m)
+                  for X in j.terms.values() for m in X.terms)
+        red = reducer.normal_order_lpoly(j)
+        if red.is_zero:
+            res.notes.append(
+                "jacobiator(%s, %s, %s) has a nonzero pre-reduction "
+                "residue of top degree %s; zero after normal ordering"
+                % (na, nb, nc, top))
+        else:
+            res.status = "fail"
+            for e in sorted(red.terms):
+                where = " ".join(
+                    "%s^%d" % (v, p) for v, p in zip(red.vars, e) if p)
+                res.witnesses.append(Witness(
+                    (na, nb, nc), where or "constant term",
+                    render_tpoly(red.terms[e])))
+    return res
 
 
-def run_all(pres: Presentation, engine: Engine | None = None,
-            triples=None) -> Report:
-    """validate, skew, weights, grading, jacobi; later checks are skipped
-    when validation fails, since the engine's bounds assume a well formed
-    table."""
+def _timed(check, *args) -> CheckResult:
+    t0 = time.perf_counter()
+    res = check(*args)
+    res.time_ms = (time.perf_counter() - t0) * 1000.0
+    return res
+
+
+def run_all(pres: Presentation) -> Report:
+    """validate, skew, weights, grading, jacobi, each timed; the later
+    checks are skipped when validation fails, since the engine's bounds
+    assume a well formed table."""
     report = Report(pres.name)
-    v = check_validate(pres)
+    v = _timed(check_validate, pres)
     report.results.append(v)
     if v.status == "fail":
         for name in ("skew", "weights", "grading", "jacobi"):
             report.results.append(CheckResult(
                 name, "skipped", notes=["presentation failed validation"]))
         return report
-    engine = engine or Engine(pres)
+    engine = Engine(pres)
     reducer = Reducer(engine)
-    report.results.append(check_skew(pres, engine))
-    report.results.append(check_weights(pres))
-    report.results.append(check_grading(pres))
-    report.results.append(check_jacobi(pres, engine, reducer, triples))
+    for check, *args in ((check_skew, pres, engine), (check_weights, pres),
+                         (check_grading, pres),
+                         (check_jacobi, pres, engine, reducer)):
+        report.results.append(_timed(check, *args))
     return report

@@ -15,9 +15,10 @@ def vir():
 
 def test_generator_metadata(vir):
     L = vir.rgen("L")
-    assert vir.rgen_degree(L) == 2
-    assert vir.rgen_parity(L) == 0
-    assert vir.rgen_weight(RGen(L.gen, 3)) == 5
+    assert vir.gen_units[L.gen] == 2 * vir.degree_unit
+    assert vir.gen_parity[L.gen] == 0
+    assert vir.gen_weights[L.gen] == 2 * vir.weight_unit
+    assert vir.mono_weight((RGen(L.gen, 3),)) == 5
     assert vir.mono_degree(vir.mono("L", ("L", 4))) == 4
     assert vir.mono_weight(vir.mono("L", ("L", 4))) == 8
     assert vir.mono_degree(()) == 0

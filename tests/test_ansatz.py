@@ -14,10 +14,8 @@ from builders import make_virasoro, make_w3
 
 
 @pytest.fixture(scope="module")
-def wwl_system(w3_ansatz, engines, reducers):
-    return extract_system(w3_ansatz, triples=[("W", "W", "L")],
-                          engine=engines["w3_ansatz"],
-                          reducer=reducers["w3_ansatz"])
+def wwl_system(w3_ansatz):
+    return extract_system(w3_ansatz, triples=[("W", "W", "L")])
 
 
 def test_wwl_system_shape(wwl_system):
@@ -102,19 +100,14 @@ def test_pin_errors(w3_ansatz, wwl_system):
         solve_and_substitute(w3_ansatz, wwl_system, ("delta", "c +"))
 
 
-def test_cubic_triple_raises_by_default(w3_ansatz, engines, reducers):
+def test_cubic_triple_raises_by_default(w3_ansatz):
     with pytest.raises(AnsatzError, match="leaves the linear regime"):
-        extract_system(w3_ansatz, triples=[("W", "W", "W")],
-                       engine=engines["w3_ansatz"],
-                       reducer=reducers["w3_ansatz"])
+        extract_system(w3_ansatz, triples=[("W", "W", "W")])
 
 
-def test_skip_nonlinear_collects_triples(w3_ansatz, engines, reducers,
-                                         wwl_system):
+def test_skip_nonlinear_collects_triples(w3_ansatz, wwl_system):
     skipped = []
-    sys = extract_system(w3_ansatz, engine=engines["w3_ansatz"],
-                         reducer=reducers["w3_ansatz"],
-                         nonlinear="skip", skipped=skipped)
+    sys = extract_system(w3_ansatz, nonlinear="skip", skipped=skipped)
     assert skipped == [("W", "W", "W")]
     assert len(sys.rows) == 32
     assert nullspace(sys) == nullspace(wwl_system)

@@ -14,7 +14,7 @@ import nlca
 from nlca.algebra import Presentation
 from nlca.cli import main
 from nlca.formal import render_lpoly
-from nlca.frontend import parse_expression, render_presentation
+from nlca.frontend import MAX_WORD, parse_expression, render_presentation
 
 from builders import _w3_table
 
@@ -222,6 +222,39 @@ def test_reduce_long_reversed_word():
          ":%s:" % " ".join(word)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ":%s:\n" % " ".join(reversed(word))
+
+
+def test_word_limit(tmp_path):
+    # at the cap, a single-operand ope and a reversed-word reduce finish in a
+    # fresh process, under the default recursion limit; one factor more is a
+    # located diagnostic and exit 2, in an operand and in a file
+    env = dict(os.environ, PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+
+    def nlca_run(*argv):
+        return subprocess.run([sys.executable, "-m", "nlca", *argv],
+                              capture_output=True, text=True, env=env)
+    boson = bundled_path("free_boson")
+    word = ":%s:" % " ".join(["a"] * MAX_WORD)
+    proc = nlca_run("ope", boson, word, "a")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("+ %d*lambda*:%s:\n"
+                                % (MAX_WORD, " ".join(["a"] * (MAX_WORD - 1))))
+    rev = ["T^%d a" % n for n in range(MAX_WORD - 1, 1, -1)] + ["T a", "a"]
+    proc = nlca_run("reduce", boson, ":%s:" % " ".join(rev))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ":%s:\n" % " ".join(reversed(rev))
+    over = word[:-1] + " a:"
+    proc = nlca_run("ope", boson, "a", over)
+    assert (proc.returncode, proc.stderr) == (
+        2, "<b>:1:%d: word exceeds the limit of %d factors\n"
+        % (2 * MAX_WORD + 2, MAX_WORD))
+    f = tmp_path / "long.nlca"
+    f.write_text("generator a parity=even degree=1 weight=1;\n"
+                 "bracket [a,a] = lambda*%s;\n" % over)
+    proc = nlca_run("check", str(f))
+    assert (proc.returncode, proc.stderr) == (
+        2, "%s:2:%d: word exceeds the limit of %d factors\n"
+        % (f, 2 * MAX_WORD + 25, MAX_WORD))
 
 
 def test_reduce_rejects_lambda(capsys):

@@ -1,7 +1,7 @@
 """Differential tests: each exact shortcut against the plain path.
 
 Scalar products with ±1 skip sympy's cancel, and generator metadata is
-kept in integer units (ranks, degree units, parity bits).  Each must give
+kept in integer units (ranks, degree and weight units, parity bits).  Each must give
 the very value, rendering and hash of the plain computation, and every
 check built on the integer units must still fire, with the same message.
 """
@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlca.algebra import Presentation, RGen, apply_T
+from nlca.algebra import AlgebraError, Presentation, RGen, apply_T
 from nlca.calculus import CalculusError, Engine
 from nlca.frontend import parse_source
 from nlca.pbw import PBWError, Reducer, inversions
@@ -102,8 +102,11 @@ DEGREES = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2),
            Fraction(2))
 
 
-def random_table(rng):
-    gens = [("g%d" % i, rng.randrange(2), rng.choice(DEGREES), None)
+def random_table(rng, weights=False):
+    """Up to five generators with degrees, and weights if asked, drawn
+    from DEGREES."""
+    gens = [("g%d" % i, rng.randrange(2), rng.choice(DEGREES),
+             rng.choice(DEGREES) if weights else None)
             for i in range(rng.randrange(1, 6))]
     return Presentation(gens)
 
@@ -140,6 +143,30 @@ def test_mono_metadata_matches_fraction_sums():
                        if keys[i] > keys[j] or (
                            keys[i] == keys[j] and p.generators[mono[i].gen].parity))
             assert inversions(p, mono) == want
+
+
+def test_mono_weight_matches_fraction_sums():
+    rng = random.Random(31)
+    for _ in range(30):
+        p = random_table(rng, weights=True)
+        for _ in range(20):
+            mono = tuple(RGen(rng.randrange(len(p.generators)),
+                              rng.randrange(3))
+                         for _ in range(rng.randrange(7)))
+            want = sum((p.generators[g].weight + n for g, n in mono),
+                       Fraction(0))
+            assert p.mono_weight(mono) == want
+            assert want * p.weight_unit == sum(
+                p.gen_weights[g] + n * p.weight_unit for g, n in mono)
+
+
+def test_mono_weight_of_undeclared_generator_still_raises():
+    p = Presentation([("a", 0, 1, Fraction(3, 2)), ("b", 0, 1, None)])
+    assert not p.weights_declared
+    assert p.mono_weight(p.mono("a", ("a", 2))) == 5
+    with pytest.raises(AlgebraError) as info:
+        p.mono_weight(p.mono("a", "b"))
+    assert str(info.value) == "generator b has no conformal weight"
 
 
 # -- the checks on integer units still fire ----------------------------------

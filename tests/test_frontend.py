@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlca.frontend import (ParseError, load_bundled, parse_expression,
-                           parse_path, parse_scalar, parse_source,
-                           render_presentation)
+from nlca.frontend import (MAX_WORD, ParseError, load_bundled,
+                           parse_expression, parse_path, parse_scalar,
+                           parse_source, render_presentation)
 from nlca.scalars import scalar_field
 
 from builders import BUILDERS, bundled_names, same_presentation
@@ -135,6 +135,8 @@ BAD_SOURCES = [
     ("param c;\n" + GEN_L
      + "bracket [L,L] = " + "(" * 400 + "c" + ")" * 400 + "*:T L:;\n",
      ["f.nlca:3:67: parentheses nested deeper than 50"]),
+    (GEN_L + "bracket [L,L] = :" + "L " * 101 + ":;\n",
+     ["f.nlca:2:218: word exceeds the limit of 100 factors"]),
 ]
 
 
@@ -153,6 +155,51 @@ def test_parser_resyncs_at_semicolons():
         "f.nlca:2:12: unknown generator 'M'",
         "f.nlca:3:12: unknown generator 'N'",
     ]
+
+
+def test_only_declaration_errors_stop_the_bracket_pass():
+    # a statement that declares nothing does not hide the bracket errors
+    src = (GEN_L + "bracket [L,L] = :T L: + lambda*:Q:;\n"
+           + "bracket [M,L] = :L:;\nfoo;\n")
+    with pytest.raises(ParseError) as exc:
+        parse_source(src, file="f.nlca")
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "f.nlca:2:33: unknown generator 'Q'",
+        "f.nlca:3:10: unknown generator 'M'",
+        "f.nlca:4:1: unknown statement 'foo'",
+    ]
+    # nor does a character the tokenizer drops
+    with pytest.raises(ParseError) as exc:
+        parse_source(GEN_L + "bracket [L,L] = :T L: $;\nbracket [L,M] = :L:;\n",
+                     file="f.nlca")
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "f.nlca:2:23: unexpected character '$'",
+        "f.nlca:3:12: unknown generator 'M'",
+    ]
+    # a broken or refused declaration stops it: the brackets could only
+    # repeat it as unknown names
+    for decl, want in (
+            ("generator M parity=up degree=2;\n",
+             "f.nlca:2:20: parity must be 'even' or 'odd'"),
+            ("param M\n", "f.nlca:3:1: expected ';', found 'bracket'"),
+            ("param L;\n", "f.nlca:1:11: generator 'L' already declared "
+                            "as a param")):
+        src = (GEN_L + decl + "bracket [L,M] = :L:;\n"
+               + "bracket [L,L] = :T Q:;\n")
+        with pytest.raises(ParseError) as exc:
+            parse_source(src, file="f.nlca")
+        assert [str(d) for d in exc.value.diagnostics] == [want], decl
+
+
+def test_word_limit_admits_the_cap(free_boson):
+    word = ":" + " ".join(["a"] * MAX_WORD) + ":"
+    x = parse_expression(free_boson, word)
+    assert [len(m) for m in x.terms] == [MAX_WORD]
+    with pytest.raises(ParseError) as exc:
+        parse_expression(free_boson, word[:-1] + " a:")
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "<expr>:1:%d: word exceeds the limit of %d factors"
+        % (2 * MAX_WORD + 2, MAX_WORD)]
 
 
 # -- fuzzing: any text gives a value or a ParseError -------------------------

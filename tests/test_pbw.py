@@ -172,7 +172,7 @@ def _random_strategy_mono(engine, rng, E):
     spots = []
     for pos in range(len(E) - 1):
         ka, kb = pres.rgen_key(E[pos]), pres.rgen_key(E[pos + 1])
-        if ka > kb or (ka == kb and pres.rgen_parity(E[pos])):
+        if ka > kb or (ka == kb and pres.gen_parity[E[pos].gen]):
             spots.append(pos)
     if not spots:
         return TPoly(pres, {E: pres.field.one})

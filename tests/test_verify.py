@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from nlca.algebra import Presentation
+from nlca.calculus import Engine
 from nlca.verify import (Witness, check_skew, check_weights, run_all)
 
 from builders import _w3_table
@@ -11,34 +12,26 @@ from conftest import CONCRETE
 CHECK_NAMES = ["validate", "skew", "weights", "grading", "jacobi"]
 
 
-def test_run_all_clean(presentations, engines):
+def test_run_all_clean(presentations):
     for name in CONCRETE:
-        rep = run_all(presentations[name], engines[name])
+        rep = run_all(presentations[name])
         assert [r.check for r in rep.results] == CHECK_NAMES
         assert all(r.status == "pass" for r in rep.results)
         assert rep.ok
         assert rep.to_text().endswith("all checks passed")
 
 
-def test_jacobi_notes_only_for_nonlinear_tables(presentations, engines):
+def test_jacobi_notes_only_for_nonlinear_tables(presentations):
     for name in ("virasoro", "free_boson", "free_fermion", "affine_sl2"):
-        rep = run_all(presentations[name], engines[name])
+        rep = run_all(presentations[name])
         assert rep.results[4].notes == []
-    rep = run_all(presentations["w3"], engines["w3"])
+    rep = run_all(presentations["w3"])
     assert rep.results[4].notes == [
         "jacobiator(W, W, L) has a nonzero pre-reduction residue of top "
         "degree 4; zero after normal ordering",
         "jacobiator(W, W, W) has a nonzero pre-reduction residue of top "
         "degree 5; zero after normal ordering",
     ]
-
-
-def test_jacobi_triples_restriction(presentations, engines):
-    rep = run_all(presentations["w3"], engines["w3"],
-                  triples=[("W", "W", "L")])
-    assert rep.results[4].status == "pass"
-    assert len(rep.results[4].notes) == 1
-    assert rep.ok
 
 
 def _broken_skew_virasoro():
@@ -53,7 +46,7 @@ def _broken_skew_virasoro():
 
 def test_skew_failure_witness():
     p = _broken_skew_virasoro()
-    res = check_skew(p)
+    res = check_skew(p, Engine(p))
     assert res.status == "fail"
     assert res.witnesses == [Witness(("L", "L"), "", "-:T L:")]
     rep = run_all(p)
@@ -117,9 +110,9 @@ def test_validation_failure_skips_the_rest():
     assert not rep.ok
 
 
-def test_report_json_shapes(presentations, engines):
-    rep = run_all(presentations["virasoro"], engines["virasoro"])
-    assert rep.to_json(timing=False) == {
+def test_report_json_shapes(presentations):
+    rep = run_all(presentations["virasoro"])
+    assert rep.to_json() == {
         "presentation": "virasoro",
         "ok": True,
         "results": [
@@ -127,11 +120,12 @@ def test_report_json_shapes(presentations, engines):
             for name in CHECK_NAMES
         ],
     }
-    timed = rep.to_json()
-    assert all("time_ms" in r for r in timed["results"])
+    # run_all times every check; the times show only in the text form
+    assert all(r.time_ms > 0 for r in rep.results)
+    assert all(" ms)" in line for line in rep.to_text().splitlines()[:5])
     # deterministic across runs
     again = run_all(presentations["virasoro"])
-    assert again.to_json(timing=False) == rep.to_json(timing=False)
+    assert again.to_json() == rep.to_json()
 
 
 def test_failed_report_text_counts():
