@@ -77,16 +77,7 @@ class TPoly:
     def __add__(self, other: "TPoly") -> "TPoly":
         self._check(other)
         out = dict(self.terms)
-        for m, s in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = s
-            else:
-                acc = acc + s
-                if acc.is_zero:
-                    del out[m]
-                else:
-                    out[m] = acc
+        _add_scaled(out, other)
         return TPoly(self.pres, out)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
@@ -108,15 +99,6 @@ class TPoly:
             for m2, s2 in other.terms.items():
                 _add_term(out, m1 + m2, s1 * s2)
         return TPoly(self.pres, out)
-
-    def degree(self) -> Fraction | None:
-        """Max degree over monomials; None for the zero element."""
-        if not self.terms:
-            return None
-        return max(self.pres.mono_degree(m) for m in self.terms)
-
-    def weights(self) -> set:
-        return {self.pres.mono_weight(m) for m in self.terms}
 
     def __str__(self):
         return render_tpoly(self)
@@ -357,61 +339,57 @@ class Presentation:
 
     # -- validation ----------------------------------------------------------
 
-    def table_violations(self, i: int, j: int):
-        """Yield (k, mono, rule, value, bound) for each monomial of the
-        lambda^k coefficient of [a_i lambda a_j] that breaks a table rule.
-
-        The rules are: degree < deg a_i + deg a_j; parity p_i + p_j; and,
-        when every weight is declared, weight w_i + w_j - k - 1.  Per k the
-        degree and parity violations come first, then the weight ones."""
-        gi, gj = self.generators[i], self.generators[j]
-        bound = gi.degree + gj.degree
-        want_parity = (gi.parity + gj.parity) & 1
-        for k, X in enumerate(self.pair_coeffs(i, j)):
-            for mono in X.terms:
-                d = self.mono_degree(mono)
-                if not d < bound:
-                    yield k, mono, "degree", d, bound
-                p = self.mono_parity(mono)
-                if p != want_parity:
-                    yield k, mono, "parity", p, want_parity
-            if self.weights_declared:
-                want_w = gi.weight + gj.weight - k - 1
-                for mono in X.terms:
-                    w = self.mono_weight(mono)
-                    if w != want_w:
-                        yield k, mono, "weight", w, want_w
-
     def validate(self) -> list[str]:
-        """Structural table checks: grading, parity, weights, ansatz linearity.
+        """The table rules, checked once on every stored bracket
+        [a_i lambda a_j]: each monomial of the lambda^k coefficient has
+        degree < deg a_i + deg a_j and parity p_i + p_j, and, when every
+        weight is declared, weight w_i + w_j - k - 1; with unknowns
+        declared, each coefficient is affine in them with none in a
+        denominator.
 
-        Returns human-readable violation strings; empty means well formed.
+        Returns human-readable violation strings, per k the degree and
+        parity ones first, then the weight ones, and the unknown ones after
+        all of those; empty means well formed.  The opposite orientations
+        need no check: skewsymmetry, lambda -> -lambda - T, keeps degree
+        and parity and maps the weight rule onto itself.
         """
-        out = []
-        for i, j in sorted(self._table):
-            label = "[%s,%s]" % (self.generators[i].name, self.generators[j].name)
-            for k, mono, rule, value, bound in self.table_violations(i, j):
-                out.append("%s: lambda^%d term %s has %s %s, %s %s"
-                           % (label, k, render_tmono(self, mono), rule, value,
-                              "needs <" if rule == "degree" else "expected",
-                              bound))
-        if self.unknowns:
-            out.extend(self._validate_linearity())
-        return out
-
-    def _validate_linearity(self) -> list[str]:
-        out = []
-        for (i, j), lst in sorted(self._table.items()):
-            label = "[%s,%s]" % (self.generators[i].name, self.generators[j].name)
-            for k, X in enumerate(lst):
+        out, linear = [], []
+        for (i, j), coeffs in sorted(self._table.items()):
+            gi, gj = self.generators[i], self.generators[j]
+            label = "[%s,%s]" % (gi.name, gj.name)
+            bound = gi.degree + gj.degree
+            want_parity = (gi.parity + gj.parity) & 1
+            for k, X in enumerate(coeffs):
+                where = "%s: lambda^%d" % (label, k)
+                want_w = (gi.weight + gj.weight - k - 1
+                          if self.weights_declared else None)
+                graded, weighed = [], []
                 for mono, s in X.terms.items():
-                    nonaffine, in_den = affine_defects(s, self.unknowns)
-                    for bad, what in ((nonaffine, "is not affine in the unknowns"),
-                                      (in_den, "has an unknown in its denominator")):
-                        if bad:
-                            out.append("%s: lambda^%d coefficient of %s %s"
-                                       % (label, k, render_tmono(self, mono), what))
-        return out
+                    m = render_tmono(self, mono)
+                    d = self.mono_degree(mono)
+                    if not d < bound:
+                        graded.append("%s term %s has degree %s, needs < %s"
+                                      % (where, m, d, bound))
+                    p = self.mono_parity(mono)
+                    if p != want_parity:
+                        graded.append("%s term %s has parity %s, expected %s"
+                                      % (where, m, p, want_parity))
+                    if want_w is not None:
+                        w = self.mono_weight(mono)
+                        if w != want_w:
+                            weighed.append(
+                                "%s term %s has weight %s, expected %s"
+                                % (where, m, w, want_w))
+                    if self.unknowns:
+                        nonaffine, in_den = affine_defects(s, self.unknowns)
+                        for bad, what in (
+                                (nonaffine, "is not affine in the unknowns"),
+                                (in_den, "has an unknown in its denominator")):
+                            if bad:
+                                linear.append("%s coefficient of %s %s"
+                                              % (where, m, what))
+                out += graded + weighed
+        return out + linear
 
 
 # -- rendering ---------------------------------------------------------------

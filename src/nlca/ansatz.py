@@ -53,15 +53,11 @@ def extract_system(pres: Presentation, triples=None,
     system = LinearSystem(target, pres.unknowns)
     big = pres.field
     for (na, nb, nc) in triples:
-        j = engine.jacobiator(pres.gen(na), pres.gen(nb), pres.gen(nc))
-        rows = []
+        red = reducer.normal_order_lpoly(
+            engine.jacobiator(pres.gen(na), pres.gen(nb), pres.gen(nc)))
         try:
-            for e in j.terms:
-                red = reducer.normal_order(j.terms[e])
-                for mono, s in red.terms.items():
-                    c0, cus = affine_split(s, pres.unknowns)
-                    rows.append(([big.transfer(cu, target) for cu in cus],
-                                 -big.transfer(c0, target)))
+            splits = [affine_split(s, pres.unknowns)
+                      for X in red.terms.values() for s in X.terms.values()]
         except ScalarError as ex:
             if nonlinear == "skip":
                 if skipped is not None:
@@ -70,8 +66,9 @@ def extract_system(pres: Presentation, triples=None,
             raise AnsatzError(
                 "triple (%s, %s, %s) leaves the linear regime: %s"
                 % (na, nb, nc, ex)) from None
-        for coeffs, rhs in rows:
-            system.add_row(coeffs, rhs)
+        for c0, cus in splits:
+            system.add_row([big.transfer(cu, target) for cu in cus],
+                           -big.transfer(c0, target))
     system.sort_rows()
     return system
 

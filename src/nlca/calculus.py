@@ -17,7 +17,8 @@ memoized entry is verified against the degree bounds
 deg N(A,B) <= deg A + deg B and deg P(A,B) < deg A + deg B.
 
 NLCA_CACHE_LIMIT, if set and not empty, is a non-negative integer: an
-Engine wipes both of its memos when their entries reach it.
+Engine wipes both of its memos when their entries reach it, and a Reducer
+wipes its memo likewise, by the same rule (_store).
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class Engine:
                     "degree bound broken: N(%s, %s) contains %s"
                     % (render_tmono(pres, A), render_tmono(pres, B),
                        render_tmono(pres, mono)))
-        self._store(self._nmemo, (A, B), out)
+        _store(self.cache_limit, self._nmemo, (A, B), out, self._pmemo)
         return out
 
     def _p(self, A: TMono, B: TMono) -> list[TPoly]:
@@ -206,7 +207,7 @@ class Engine:
                         "degree bound broken: P(%s, %s) contains %s"
                         % (render_tmono(pres, A), render_tmono(pres, B),
                            render_tmono(pres, mono)))
-        self._store(self._pmemo, (A, B), out)
+        _store(self.cache_limit, self._pmemo, (A, B), out, self._nmemo)
         return out
 
     def _p_peel_right(self, a: RGen, B: TMono) -> list[TPoly]:
@@ -349,14 +350,15 @@ class Engine:
         self._int_into(out, B_poly, self._p(A, C), -sign)
         return TPoly(pres, out)
 
-    # -- cache plumbing ------------------------------------------------------
 
-    def _store(self, memo: dict, key, val) -> None:
-        if (self.cache_limit is not None
-                and len(self._nmemo) + len(self._pmemo) >= self.cache_limit):
-            self._nmemo.clear()
-            self._pmemo.clear()
-        memo[key] = val
+def _store(limit: int | None, memo: dict, key, val, *shared: dict) -> None:
+    """memo[key] = val, first wiping memo and the memos it shares the
+    limit with when their entries together reach it; None is no limit."""
+    if limit is not None and len(memo) + sum(map(len, shared)) >= limit:
+        memo.clear()
+        for m in shared:
+            m.clear()
+    memo[key] = val
 
 
 def _prepend(rg: RGen, x: TPoly) -> TPoly:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
-from .calculus import Engine
+from .calculus import Engine, _store
 from .frontend import MAX_BASIS_SIZE, MAX_CHARACTER_WORK, MAX_WEIGHT_UNITS
 
 
@@ -44,7 +44,8 @@ def inversions(pres: Presentation, mono: TMono) -> int:
 
 
 class Reducer:
-    """Normal-ordering map sigma for one presentation, memoized."""
+    """Normal-ordering map sigma for one presentation, memoized; the memo
+    is wiped when it reaches the engine's cache_limit (NLCA_CACHE_LIMIT)."""
 
     def __init__(self, engine: Engine):
         self.engine = engine
@@ -95,10 +96,12 @@ class Reducer:
             out = self._memo.get(E)
             if out is not None:
                 break
-        self._memo[E] = out
+        limit = eng.cache_limit
+        _store(limit, self._memo, E, out)
         for word, sign, head in reversed(chain):
             _add_scaled(head.terms, out, sign)
-            self._memo[word] = out = head
+            out = head
+            _store(limit, self._memo, word, out)
         return out
 
     def _monitor(self, E: TMono, corr: TPoly, swapped: TMono | None = None,

@@ -2,7 +2,7 @@
 
 These are built directly through the algebra API, independent of the DSL
 files bundled with the package; the frontend tests compare the two with
-same_presentation.
+same_presentation.  degree and weights read the grading of a TPoly.
 """
 
 from fractions import Fraction
@@ -117,3 +117,15 @@ def same_presentation(p, q):
     return all([x.terms for x in p.pair_coeffs(*key)]
                == [y.terms for y in q.pair_coeffs(*key)]
                for key in p.given_pairs())
+
+
+def degree(x):
+    """Max degree over the monomials of x; None for the zero element."""
+    if not x.terms:
+        return None
+    return max(x.pres.mono_degree(m) for m in x.terms)
+
+
+def weights(x):
+    """The set of conformal weights of the monomials of x."""
+    return {x.pres.mono_weight(m) for m in x.terms}

@@ -52,6 +52,16 @@ def test_check_json_matches_golden(capsys):
         assert out == (GOLDEN / ("check_%s.json" % name)).read_text(), name
 
 
+def test_check_json_of_invalid_tables_matches_golden(capsys):
+    # bad_rules breaks the degree, parity and weight rules, bad_ansatz the
+    # rules on unknowns and the degree rule
+    for name in ("bad_rules", "bad_ansatz"):
+        path = str(GOLDEN / ("%s.nlca" % name))
+        code, out, err = run(capsys, ["check", path, "--json"])
+        assert code == 1, name
+        assert out == (GOLDEN / ("check_%s.json" % name)).read_text(), name
+
+
 def test_check_ansatz_file_fails(capsys):
     code, out, err = run(capsys, ["check", bundled_path("w3_ansatz")])
     assert code == 1

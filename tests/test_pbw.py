@@ -127,6 +127,27 @@ def test_reduce_long_reversed_word(free_boson):
     assert got == p.poly({tuple(reversed(word)): 1})
 
 
+class _SizeLog(dict):
+    """A memo that records the most entries it ever held."""
+    most = 0
+
+    def __setitem__(self, key, val):
+        super().__setitem__(key, val)
+        self.most = max(self.most, len(self))
+
+
+def test_cache_limit_caps_the_reducer_memo(free_boson, monkeypatch):
+    # the reversed word fills the memo along a swap chain of 820 words
+    p = free_boson
+    x = p.poly({p.mono(*(("a", n) for n in range(40, -1, -1))): 1})
+    want = Reducer(Engine(p)).normal_order(x)
+    monkeypatch.setenv("NLCA_CACHE_LIMIT", "50")
+    red = Reducer(Engine(p))
+    red._memo = _SizeLog()
+    assert red.normal_order(x) == want
+    assert 0 < red._memo.most <= 50
+
+
 # -- the kernel of sigma -----------------------------------------------------
 
 def test_sigma_kills_m_elements(presentations, engines, reducers):

@@ -1,13 +1,15 @@
 """Axiom checking with witnesses."""
 
+import random
 from fractions import Fraction
 
-from nlca.algebra import Presentation
+from nlca.algebra import Presentation, RGen
 from nlca.calculus import Engine
-from nlca.verify import (Witness, check_skew, check_weights, run_all)
+from nlca.verify import Witness, check_skew, run_all
 
 from builders import _w3_table
 from conftest import CONCRETE
+from randgen import random_coeff
 
 CHECK_NAMES = ["validate", "skew", "weights", "grading", "jacobi"]
 
@@ -72,18 +74,22 @@ def test_jacobi_failure_witness():
 
 
 def test_weights_failure_direct():
-    # declared weight is wrong for the table; every coefficient is flagged
+    # declared weight is wrong for the table; validate flags every
+    # coefficient, and run_all skips the rows that rest on validate
     p = Presentation([("L", 0, 2, 3)], params=("c",))
     c = p.field.param("c")
     p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(2), p.zero(),
                              p.unit().scale(c / 12)])
-    res = check_weights(p)
-    assert res.status == "fail"
-    assert [(w.operands, w.where, w.residue) for w in res.witnesses] == [
-        (("L", "L"), "lambda^0", ":T L:"),
-        (("L", "L"), "lambda^1", "2*:L:"),
-        (("L", "L"), "lambda^3", "c/12*1"),
+    assert p.validate() == [
+        "[L,L]: lambda^0 term :T L: has weight 4, expected 5",
+        "[L,L]: lambda^1 term :L: has weight 3, expected 4",
+        "[L,L]: lambda^3 term 1 has weight 0, expected 2",
     ]
+    rep = run_all(p)
+    assert [(r.check, r.status) for r in rep.results] == [
+        ("validate", "fail"), ("skew", "skipped"), ("weights", "skipped"),
+        ("grading", "skipped"), ("jacobi", "skipped")]
+    assert rep.results[0].notes == p.validate()
 
 
 def test_weightless_presentation_skips_weights():
@@ -134,3 +140,79 @@ def test_failed_report_text_counts():
     bad = sum(1 for r in rep.results if r.status == "fail")
     assert last == "FAILED: %d check(s)" % bad
     assert bad >= 1
+
+
+# -- validate against a brute-force walk over every ordered pair -------------
+
+HALVES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+def _broken_rules(p, i, j, k, mono):
+    """The table rules that mono breaks as a lambda^k term of
+    [a_i lambda a_j], from the generator declarations alone."""
+    gi, gj = p.generators[i], p.generators[j]
+    gens = [p.generators[g] for g, _ in mono]
+    out = []
+    if not sum(g.degree for g in gens) < gi.degree + gj.degree:
+        out.append("degree")
+    if sum(g.parity for g in gens) % 2 != (gi.parity + gj.parity) % 2:
+        out.append("parity")
+    if (all(g.weight is not None for g in p.generators)
+            and sum(g.weight + n for g, (_, n) in zip(gens, mono))
+            != gi.weight + gj.weight - k - 1):
+        out.append("weight")
+    return out
+
+
+def _random_rule_table(rng):
+    """Up to three generators, some odd, degrees and mostly declared
+    weights in halves; each pair's lambda^k coefficients drawn from the
+    monomials that obey the rules, now and then with one that may not;
+    some pairs stored in both orientations."""
+    gens = [("g%d" % i, rng.randrange(2), rng.choice(HALVES),
+             rng.choice(HALVES) if rng.random() < 0.8 else None)
+            for i in range(rng.randrange(1, 4))]
+    p = Presentation(gens)
+    n = len(gens)
+    pool = [()] + [(RGen(g, t),) for g in range(n) for t in range(3)]
+    pool += [(RGen(g, t), RGen(h, 0)) for g in range(n) for h in range(n)
+             for t in range(2)]
+    both = False
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.3:
+                continue
+            if i != j and rng.random() < 0.3:
+                pairs, both = [(i, j), (j, i)], True
+            else:
+                pairs = [rng.choice([(i, j), (j, i)])]
+            for a, b in pairs:
+                coeffs = []
+                for k in range(4):
+                    fits = [m for m in pool
+                            if not _broken_rules(p, a, b, k, m)]
+                    picks = rng.sample(fits, min(len(fits), rng.randrange(3)))
+                    if rng.random() < 0.06:
+                        picks.append(rng.choice(pool))
+                    coeffs.append(p.poly({m: random_coeff(rng)
+                                          for m in picks}))
+                p.set_bracket(gens[a][0], gens[b][0], coeffs)
+    return p, both
+
+
+def test_validate_matches_brute_force_over_all_ordered_pairs():
+    # validate walks the stored brackets only; skewsymmetry carries the
+    # rules to the derived orientations, which the brute force walks too
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(150):
+        p, both = _random_rule_table(rng)
+        n = len(p.generators)
+        broken = any(_broken_rules(p, i, j, k, mono)
+                     for i in range(n) for j in range(n)
+                     for k, X in enumerate(p.pair_coeffs(i, j))
+                     for mono in X.terms)
+        assert (p.validate() == []) == (not broken)
+        seen.add((broken, both, p.weights_declared))
+    assert {b for b, _, _ in seen} == {False, True}
+    assert (False, True, True) in seen
