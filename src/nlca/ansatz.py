@@ -27,7 +27,6 @@ class AnsatzError(Exception):
 
 
 def extract_system(pres: Presentation, triples=None,
-                   nonlinear: str = "error",
                    skipped: list | None = None) -> LinearSystem:
     """Linear equations on the unknowns from reduced jacobiators.
 
@@ -36,9 +35,9 @@ def extract_system(pres: Presentation, triples=None,
     depend on the processing order.
 
     A triple whose reduced jacobiator is not affine in the unknowns (they
-    met each other through nested brackets) raises by default; with
-    nonlinear="skip" it is left out and appended to `skipped`, to be
-    covered by the full verification after substitution.
+    met each other through nested brackets) raises when `skipped` is None;
+    otherwise it is left out and appended to `skipped`, to be covered by
+    the full verification after substitution.
     """
     if not pres.unknowns:
         raise AnsatzError("presentation declares no unknowns")
@@ -49,9 +48,7 @@ def extract_system(pres: Presentation, triples=None,
     reducer = Reducer(engine)
     if triples is None:
         triples = all_triples(pres)
-    target = scalar_field(pres.params)
-    system = LinearSystem(target, pres.unknowns)
-    big = pres.field
+    system = LinearSystem(scalar_field(pres.params), pres.unknowns)
     for (na, nb, nc) in triples:
         red = reducer.normal_order_lpoly(
             engine.jacobiator(pres.gen(na), pres.gen(nb), pres.gen(nc)))
@@ -59,36 +56,31 @@ def extract_system(pres: Presentation, triples=None,
             splits = [affine_split(s, pres.unknowns)
                       for X in red.terms.values() for s in X.terms.values()]
         except ScalarError as ex:
-            if nonlinear == "skip":
-                if skipped is not None:
-                    skipped.append((na, nb, nc))
-                continue
-            raise AnsatzError(
-                "triple (%s, %s, %s) leaves the linear regime: %s"
-                % (na, nb, nc, ex)) from None
+            if skipped is None:
+                raise AnsatzError(
+                    "triple (%s, %s, %s) leaves the linear regime: %s"
+                    % (na, nb, nc, ex)) from None
+            skipped.append((na, nb, nc))
+            continue
         for c0, cus in splits:
-            system.add_row([big.transfer(cu, target) for cu in cus],
-                           -big.transfer(c0, target))
+            system.add_row(cus, -c0)
     system.sort_rows()
     return system
 
 
 def substitute_unknowns(pres: Presentation, values: dict[str, Scalar]) -> Presentation:
     """Concrete presentation with every unknown replaced by its value."""
-    target = scalar_field(pres.params)
     out = Presentation(
         [(g.name, g.parity, g.degree, g.weight) for g in pres.generators],
         params=pres.params, name=pres.name)
-    big = pres.field
     for (i, j) in pres.given_pairs():
         coeffs = []
         for X in pres.pair_coeffs(i, j):
             terms = {}
             for mono, s in X.terms.items():
-                c0, cus = affine_split(s, pres.unknowns)
-                snew = big.transfer(c0, target)
+                snew, cus = affine_split(s, pres.unknowns)
                 for u, cu in zip(pres.unknowns, cus):
-                    snew = snew + big.transfer(cu, target) * values[u]
+                    snew = snew + cu * values[u]
                 if not snew.is_zero:
                     terms[mono] = snew
             coeffs.append(TPoly(out, terms))

@@ -197,8 +197,6 @@ class Engine:
             out = self._p_peel_right(A[0], B)
         else:
             out = self._p_peel_left(A[0], A[1:], B)
-        while out and out[-1].is_zero:
-            out.pop()
         bound = pres.mono_units(A) + pres.mono_units(B)
         for X in out:
             for mono in X.terms:

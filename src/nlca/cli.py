@@ -157,7 +157,7 @@ def _cmd_solve(args):
         system = extract_system(pres,
                                 triples=_parse_triples(args.triples, pres))
     else:
-        system = extract_system(pres, nonlinear="skip", skipped=skipped)
+        system = extract_system(pres, skipped=skipped)
     res = solve_and_substitute(pres, system, pin=(pin_name, pin_val))
     if args.json:
         _emit({"presentation": pres.name,

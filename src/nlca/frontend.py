@@ -74,9 +74,9 @@ def _tokenize(text: str, file: str, diags: list) -> list[Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("int", text[i:j], line, start_col))
             col += j - i
@@ -519,7 +519,7 @@ class _FileParser:
             if bad:
                 continue
             key = (a.text, b.text)
-            if key in entries or (b.text, a.text) in entries:
+            if key in entries:
                 d.append(Diagnostic(self.file, a.line, a.col,
                                     "bracket [%s,%s] given twice" % key))
                 continue

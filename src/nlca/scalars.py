@@ -104,32 +104,6 @@ class ScalarField:
             raise ScalarError("cannot convert %r to a Scalar" % (x,))
         return x if isinstance(x, Scalar) else Scalar(self, r)
 
-    def transfer(self, s: "Scalar", target: "ScalarField") -> "Scalar":
-        """Rebuild s in target, which must declare every parameter s uses."""
-        pos = []
-        for i, p in enumerate(self.params):
-            j = target.params.index(p) if p in target.params else -1
-            pos.append(j)
-        tf = target._field
-
-        def move(poly):
-            d = {}
-            for exps, coeff in poly.terms():
-                texps = [0] * len(target.params)
-                for i, e in enumerate(exps):
-                    if e:
-                        if pos[i] < 0:
-                            raise ScalarError(
-                                "parameter %r not present in target field"
-                                % (self.params[i],))
-                        texps[pos[i]] = e
-                d[tuple(texps)] = coeff
-            return tf.ring.from_dict(d)
-
-        num = move(s.raw.numer)
-        den = move(s.raw.denom)
-        return Scalar(target, tf.new(num, den))
-
 
 class Scalar:
     """An element of a ScalarField, kept in reduced canonical form."""
@@ -344,22 +318,30 @@ def affine_split(s: Scalar, unknowns) -> tuple[Scalar, list[Scalar]]:
 
     Requires s to be affine in the unknowns taken jointly, with none of
     them in the denominator; raises ScalarError otherwise.  The returned
-    Scalars live in s.field and are themselves unknown-free.
+    Scalars live in scalar_field() of the other parameters of s.field,
+    in their order there.
     """
     nonaffine, in_den = affine_defects(s, unknowns)
     if in_den:
         raise ScalarError("unknown in a denominator: %s" % (s,))
     if nonaffine:
         raise ScalarError("not affine in the unknowns: %s" % (s,))
-    fld = s.field
-    ring = fld._field.ring
-    num, den = s.raw.numer, s.raw.denom
-    coeffs = [Scalar(fld, fld._field.new(
-        num.diff(ring.gens[fld.params.index(u)]), den)) for u in unknowns]
-    c0 = s
-    for u, cu in zip(unknowns, coeffs):
-        c0 = c0 - cu * fld.param(u)
-    return c0, coeffs
+    params = s.field.params
+    idx = [params.index(u) for u in unknowns]
+    keep = [i for i in range(len(params)) if i not in idx]
+    target = scalar_field(params[i] for i in keep)
+    ring = target._field.ring
+    # an affine numerator term holds at most one unknown: file it under
+    # that unknown (slot 0 is c0) with the unknown dropped
+    nums = [{} for _ in range(len(idx) + 1)]
+    for exps, coeff in s.raw.numer.terms():
+        slot = next((k + 1 for k, i in enumerate(idx) if exps[i]), 0)
+        nums[slot][tuple(exps[i] for i in keep)] = coeff
+    den = ring.from_dict({tuple(exps[i] for i in keep): coeff
+                          for exps, coeff in s.raw.denom.terms()})
+    c0, *cus = [Scalar(target, target._field.new(ring.from_dict(d), den))
+                for d in nums]
+    return c0, cus
 
 
 # -- linear systems ----------------------------------------------------------

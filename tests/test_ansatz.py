@@ -107,7 +107,7 @@ def test_cubic_triple_raises_by_default(w3_ansatz):
 
 def test_skip_nonlinear_collects_triples(w3_ansatz, wwl_system):
     skipped = []
-    sys = extract_system(w3_ansatz, nonlinear="skip", skipped=skipped)
+    sys = extract_system(w3_ansatz, skipped=skipped)
     assert skipped == [("W", "W", "W")]
     assert len(sys.rows) == 32
     assert nullspace(sys) == nullspace(wwl_system)

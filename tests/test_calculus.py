@@ -199,6 +199,17 @@ def test_wick_left_defect_vanishes_for_single_left(presentations, engines):
             assert e.structure_defect("wl", a, B, C).is_zero, name
 
 
+def test_wick_right_defect_vanishes_for_single_left(presentations, engines):
+    rng = random.Random(13)
+    for name in CONCRETE:
+        p, e = presentations[name], engines[name]
+        for _ in range(4):
+            a = random_single(p, rng)
+            B = random_tensor(p, rng, terms=1)
+            C = random_tensor(p, rng, terms=1)
+            assert e.structure_defect("wr", a, B, C).is_zero, name
+
+
 def test_quasi_assoc_defect_vanishes_for_single_left(presentations, engines):
     rng = random.Random(12)
     for name in CONCRETE:

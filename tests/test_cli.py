@@ -86,6 +86,22 @@ def test_check_broken_skew_file(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+def test_check_both_orientations(tmp_path, capsys):
+    src = ("generator a parity=even degree=1 weight=1;\n"
+           "generator b parity=even degree=1 weight=1;\n"
+           "bracket [a,b] = lambda*1;\n"
+           "bracket [b,a] = %s*1;\n")
+    f = tmp_path / "pair.nlca"
+    f.write_text(src % "lambda")
+    code, out, err = run(capsys, ["check", str(f)])
+    assert (code, out.splitlines()[-1], err) == (0, "all checks passed", "")
+    f.write_text(src % "2*lambda")
+    code, out, err = run(capsys, ["check", str(f)])
+    assert code == 1
+    assert "skew       fail" in out
+    assert "    witness [a, b]: -lambda*1\n    witness [b, a]: lambda*1\n" in out
+
+
 def test_check_perturbed_structure_constant(tmp_path, capsys):
     p = Presentation([("L", 0, 2, 2), ("W", 0, 3, 3)], params=("c",),
                      name="w3_perturbed")
@@ -171,6 +187,19 @@ def test_ope_renders_long_coefficients(tmp_path):
     digits = str(decimal.Decimal(99999 ** 10000))
     assert len(digits) == 50000
     assert proc.stdout == digits + "*lambda^3*1\n"
+
+
+def test_invalid_table_stops_every_command(capsys):
+    # one stderr line per validate() note, nothing on stdout
+    path = str(GOLDEN / "bad_rules.nlca")
+    notes = json.loads((GOLDEN / "check_bad_rules.json").read_text())
+    notes = notes["results"][0]["notes"]
+    assert len(notes) == 7
+    want = "".join("invalid presentation: %s\n" % n for n in notes)
+    for argv in (["ope", path, "L", "L"], ["reduce", path, ":L L:"],
+                 ["basis", path, "--weight", "4"],
+                 ["character", path, "--max-weight", "4"]):
+        assert run(capsys, argv) == (1, "", want), argv[0]
 
 
 def test_ope_human(capsys):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlca.algebra import Presentation
 from nlca.frontend import (MAX_WORD, ParseError, load_bundled,
                            parse_expression, parse_path, parse_scalar,
                            parse_source, render_presentation)
@@ -137,6 +138,9 @@ BAD_SOURCES = [
      ["f.nlca:3:67: parentheses nested deeper than 50"]),
     (GEN_L + "bracket [L,L] = :" + "L " * 101 + ":;\n",
      ["f.nlca:2:218: word exceeds the limit of 100 factors"]),
+    (GEN_L + "bracket [L,L] = :T L: + \u00b2*1;\n",
+     ["f.nlca:2:25: unexpected character '\u00b2'",
+      "f.nlca:2:26: expected a scalar factor, found '*'"]),
 ]
 
 
@@ -191,6 +195,17 @@ def test_only_declaration_errors_stop_the_bracket_pass():
         assert [str(d) for d in exc.value.diagnostics] == [want], decl
 
 
+def test_both_orientations_of_a_bracket_round_trip():
+    p = Presentation([("a", 0, 1, 1), ("b", 0, 1, 1)])
+    p.set_bracket("a", "b", [p.zero(), p.unit()])
+    p.set_bracket("b", "a", [p.zero(), p.unit()])
+    text = render_presentation(p)
+    assert "bracket [a,b]" in text and "bracket [b,a]" in text
+    p2 = parse_source(text)
+    assert same_presentation(p, p2)
+    assert render_presentation(p2) == text
+
+
 def test_word_limit_admits_the_cap(free_boson):
     word = ":" + " ".join(["a"] * MAX_WORD) + ":"
     x = parse_expression(free_boson, word)
@@ -205,7 +220,7 @@ def test_word_limit_admits_the_cap(free_boson):
 # -- fuzzing: any text gives a value or a ParseError -------------------------
 
 PIECES = ["a", "c", "q", "0", "1", "12", "(", ")", "+", "-", "*", "/", "^",
-          "^100", " ", "lambda", "L", ":", ":T L:", ";", "$"]
+          "^100", " ", "lambda", "L", ":", ":T L:", ";", "$", "\u00b2"]
 TEXTS = st.lists(st.sampled_from(PIECES), max_size=24).map("".join)
 
 

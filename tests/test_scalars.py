@@ -7,7 +7,7 @@ import pytest
 
 from nlca.frontend import ParseError, parse_scalar
 from nlca.scalars import (
-    LinearSystem, ScalarError, nullspace, scalar_field)
+    LinearSystem, ScalarError, affine_split, nullspace, scalar_field)
 
 
 @pytest.fixture(scope="module")
@@ -145,22 +145,74 @@ def test_parse_expressions(Qc):
     assert parse_scalar(Qc, "c^2 - 2*c + 1") == (c - 1) ** 2
     assert parse_scalar(Qc, "-c/12") == -c / 12
     assert parse_scalar(Qc, "1/2") == Fraction(1, 2)
+    # an integer is a run of decimal digits of any script, as int() reads
+    assert parse_scalar(Qc, "\u0663*c") == 3 * c
     with pytest.raises(ParseError):
         parse_scalar(Qc, "c +")
     with pytest.raises(ParseError):
         parse_scalar(Qc, "q")
 
 
-def test_transfer_between_fields():
-    big = scalar_field(("c", "alpha"))
-    small = scalar_field(("c",))
-    c, alpha = big.param("c"), big.param("alpha")
-    x = (3 * c + 2) / (c + 1)
-    moved = big.transfer(x, small)
-    assert moved.field is small
-    assert str(moved) == str(x)
-    with pytest.raises(ScalarError):
-        big.transfer(alpha / c, small)
+def _random_coeff(rng, fld, names):
+    """A random element of fld that only uses the given parameters."""
+    def poly():
+        out = fld.convert(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 3)):
+            term = fld.convert(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            for n in rng.sample(names, rng.randint(0, min(2, len(names)))):
+                term = term * fld.param(n) ** rng.randint(1, 2)
+            out = out + term
+        return out
+
+    num, den = poly(), poly()
+    return num if den.is_zero or rng.random() < 0.4 else num / den
+
+
+def test_affine_split_recombines_over_the_remaining_params():
+    # unknowns at shuffled positions of the field, passed in shuffled order;
+    # a refusal names s, and an unknown in a denominator is named first
+    rng = random.Random(23)
+    splits = refusals = 0
+    for _ in range(300):
+        names = rng.sample("abcdeuvw", rng.randint(2, 5))
+        unknowns = rng.sample(names, rng.randint(1, min(3, len(names))))
+        params = [n for n in names if n not in unknowns]
+        big = scalar_field(names)
+        small = scalar_field(params)
+        s = _random_coeff(rng, big, params)
+        for u in unknowns:
+            if rng.random() < 0.7:
+                s = s + _random_coeff(rng, big, params) * big.param(u)
+        # an unknown-free nonzero factor for the refused shapes
+        nonzero = big.convert(rng.choice([-2, 1, 3]))
+        if params:
+            nonzero = nonzero * (1 + big.param(rng.choice(params)) ** 2)
+        u, w = rng.choice(unknowns), rng.choice(unknowns)
+        shape = rng.random()
+        if shape < 0.15:
+            s = s + nonzero / (big.param(u) + 1)
+            want = "unknown in a denominator: %s"
+        elif shape < 0.3:
+            s = s + nonzero * big.param(u) * big.param(w)
+            want = "not affine in the unknowns: %s"
+        elif shape < 0.35:
+            s = s + nonzero * big.param(u) * big.param(w) / (big.param(u) + 1)
+            want = "unknown in a denominator: %s"
+        else:
+            c0, cus = affine_split(s, unknowns)
+            assert len(cus) == len(unknowns)
+            assert all(c.field is small for c in [c0] + cus)
+            back = parse_scalar(big, str(c0))
+            for name, cu in zip(unknowns, cus):
+                back = back + parse_scalar(big, str(cu)) * big.param(name)
+            assert back == s
+            splits += 1
+            continue
+        with pytest.raises(ScalarError) as exc:
+            affine_split(s, unknowns)
+        assert str(exc.value) == want % (s,)
+        refusals += 1
+    assert splits > 150 and refusals > 100
 
 
 def test_nullspace_single_relation():
