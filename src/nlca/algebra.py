@@ -18,7 +18,9 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple
 
-from .scalars import Scalar, affine_defects, scalar_field
+from .scalars import Scalar, affine_defects, is_name, scalar_field
+
+_RESERVED = ("T", "lambda")  # names with a meaning in the file format
 
 
 class AlgebraError(Exception):
@@ -174,14 +176,21 @@ class Presentation:
         self.name = name
         self.params = tuple(params)
         self.unknowns = tuple(unknowns)
-        overlap = set(self.params) & set(self.unknowns)
-        if overlap:
-            raise AlgebraError("params and unknowns overlap: %s" % (sorted(overlap),))
-        self.field = scalar_field(self.params + self.unknowns)
         self.generators = decls = tuple(
             GeneratorDecl(nm, parity, Fraction(degree),
                           None if weight is None else Fraction(weight), i)
             for i, (nm, parity, degree, weight) in enumerate(generators))
+        for nm in self.params + self.unknowns + tuple(g.name for g in decls):
+            if nm in _RESERVED:
+                raise AlgebraError("%r is reserved" % (nm,))
+            if not is_name(nm):
+                raise AlgebraError("%r is not a name" % (nm,))
+        if not (name is None or is_name(name)):
+            raise AlgebraError("%r is not a name" % (name,))
+        overlap = set(self.params) & set(self.unknowns)
+        if overlap:
+            raise AlgebraError("params and unknowns overlap: %s" % (sorted(overlap),))
+        self.field = scalar_field(self.params + self.unknowns)
         # generator metadata as ints for the hot checks: degrees in units of
         # 1/degree_unit, weights (None if undeclared) in units of
         # 1/weight_unit, each the lcm of the denominators; parity bits; ranks

@@ -1,19 +1,21 @@
 """The product/bracket recursion on the tensor algebra.
 
 Extends the generator lambda-bracket table to a quasi-product N(A, B) and a
-quasi-bracket P_lambda(A, B) on all of the tensor algebra, by the mutual
-recursion that peels tensor factors off the left argument (and, for P with
-a single left factor, off the right argument).  These are the operations
-whose failure to be associative/Lie is measured by the structure defects,
-all of which land in the ideal generated by m_element instances and so
-vanish after normal ordering.
+quasi-bracket P_lambda(A, B) on all of the tensor algebra.  The recursion
+peels a factor off the left argument (for P with a single left factor, off
+the right one), and each peel is one defect formula solved for its left
+side: q for N(a A', B), wl for P(a, b C), wr for P(a A', B).  _q_rest,
+_wl_rest and _wr_rest add each right side, times 1 in the recursion and
+times -1 in the defect kernels.  All defects land in the ideal generated
+by m_element instances and so vanish after normal ordering.
 
-Everything is memoized per presentation at the monomial level.  A
-lambda-polynomial is a dense list of TPoly coefficients indexed by the
-lambda-power, the shape Presentation.bracket_r returns; sums are built in
-place in term dicts the caller owns, never in a memoized TPoly.  Only the
-public methods wrap a result in an LPoly, to name its variable.  Every
-memoized entry is verified against the degree bounds
+N and P are memoized per presentation at the monomial level, except the
+concatenations N(1, B), N(A, 1) and N(a, B), neither stored nor counted in
+stats.  A lambda-polynomial is a dense list of TPoly coefficients indexed
+by the lambda-power, the shape Presentation.bracket_r returns; sums are
+built in place in term dicts the caller owns, never in a memoized TPoly.
+Only the public methods wrap a result in an LPoly, to name its variable.
+Every memoized entry is verified against the degree bounds
 deg N(A,B) <= deg A + deg B and deg P(A,B) < deg A + deg B.
 
 NLCA_CACHE_LIMIT, if set and not empty, is a non-negative integer: an
@@ -153,25 +155,17 @@ class Engine:
         return _coeff_list(self.pres, acc)
 
     def _n(self, A: TMono, B: TMono) -> TPoly:
+        if len(A) <= 1 or not B:
+            return self._mono(A + B)
         self.stats["n_calls"] += 1
         hit = self._nmemo.get((A, B))
         if hit is not None:
             self.stats["n_hits"] += 1
             return hit
         pres = self.pres
-        if not A:
-            out = self._mono(B)
-        elif not B:
-            out = self._mono(A)
-        elif len(A) == 1:
-            out = self._mono(A + B)
-        else:
-            a, Ap = A[0], A[1:]
-            sign = pres.parity_sign((a,), Ap)
-            d = _prepend(a, self._n(Ap, B)).terms
-            self._int_into(d, self._mono((a,)), self._p(Ap, B), 1)
-            self._int_into(d, self._mono(Ap), self._p((a,), B), sign)
-            out = TPoly(pres, d)
+        d: dict = {}
+        self._q_rest(d, A[:1], A[1:], B, 1)
+        out = TPoly(pres, d)
         bound = pres.mono_units(A) + pres.mono_units(B)
         for mono in out.terms:
             if not pres.mono_units(mono) <= bound:
@@ -193,10 +187,13 @@ class Engine:
             out: list[TPoly] = []
         elif len(A) == 1 and len(B) == 1:
             out = pres.bracket_r(A[0], B[0])
-        elif len(A) == 1:
-            out = self._p_peel_right(A[0], B)
         else:
-            out = self._p_peel_left(A[0], A[1:], B)
+            acc: list[dict] = []
+            if len(A) == 1:
+                self._wl_rest(acc, A, B[:1], B[1:], 1)
+            else:
+                self._wr_rest(acc, A[:1], A[1:], B, 1)
+            out = _coeff_list(pres, acc)
         bound = pres.mono_units(A) + pres.mono_units(B)
         for X in out:
             for mono in X.terms:
@@ -207,30 +204,6 @@ class Engine:
                            render_tmono(pres, mono)))
         _store(self.cache_limit, self._pmemo, (A, B), out, self._nmemo)
         return out
-
-    def _p_peel_right(self, a: RGen, B: TMono) -> list[TPoly]:
-        """P(a, b (x) C) for a single left factor."""
-        pres = self.pres
-        b, C = B[0], B[1:]
-        sign = pres.parity_sign((a,), (b,))
-        acc: list[dict] = []
-        self._right_into(acc, self._p((a,), (b,)), self._mono(C), 1)
-        for m, Y in enumerate(self._p((a,), C)):
-            if Y:
-                _lacc(acc, m, _prepend(b, Y), sign)
-        return _coeff_list(pres, acc)
-
-    def _p_peel_left(self, a: RGen, Ap: TMono, B: TMono) -> list[TPoly]:
-        """P(a (x) A', B), peeling the leftmost factor."""
-        pres = self.pres
-        sign = pres.parity_sign((a,), Ap)
-        paB = self._p((a,), B)
-        Ap_poly = self._mono(Ap)
-        acc: list[dict] = []
-        self._expand_into(acc, self._mono((a,)), self._p(Ap, B), 1)
-        self._expand_into(acc, Ap_poly, paB, sign)
-        self._beta_into(acc, Ap_poly, paB, sign)
-        return _coeff_list(pres, acc)
 
     def _int_into(self, out: dict, x: TPoly, coeffs: list, s: int) -> None:
         """Add s * sum_m N(T^(m+1) x / (m+1), X_m) into the term dict out."""
@@ -312,41 +285,53 @@ class Engine:
         return TPoly(self.pres, out)
 
     def _wl_mono(self, A: TMono, B: TMono, C: TMono) -> list[TPoly]:
-        pres = self.pres
-        A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)
-        sign = pres.parity_sign(A, B)
         acc: list[dict] = []
-        for m, X in enumerate(self._p_poly(A_poly, self._n(B, C))):
+        for m, X in enumerate(self._p_poly(self._mono(A), self._n(B, C))):
             _lacc(acc, m, X)
-        self._right_into(acc, self._p(A, B), C_poly, -1)
-        for i, Y in enumerate(self._p(A, C)):
-            if Y:
-                _lacc(acc, i, self._n_poly(B_poly, Y), -sign)
-        return _coeff_list(pres, acc)
+        self._wl_rest(acc, A, B, C, -1)
+        return _coeff_list(self.pres, acc)
 
     def _wr_mono(self, A: TMono, B: TMono, C: TMono) -> list[TPoly]:
-        pres = self.pres
-        A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)
-        sign = pres.parity_sign(A, B)
         acc: list[dict] = []
-        for m, X in enumerate(self._p_poly(self._n(A, B), C_poly)):
+        for m, X in enumerate(self._p_poly(self._n(A, B), self._mono(C))):
             _lacc(acc, m, X)
-        pAC = self._p(A, C)
-        self._beta_into(acc, B_poly, pAC, -sign)
-        self._expand_into(acc, A_poly, self._p(B, C), -1)
-        self._expand_into(acc, B_poly, pAC, -sign)
-        return _coeff_list(pres, acc)
+        self._wr_rest(acc, A, B, C, -1)
+        return _coeff_list(self.pres, acc)
 
     def _q_mono(self, A: TMono, B: TMono, C: TMono) -> TPoly:
-        pres = self.pres
-        A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)
-        sign = pres.parity_sign(A, B)
         out: dict = {}
-        self._n_into(out, self._n(A, B), C_poly)
-        self._n_into(out, A_poly, self._n(B, C), -1)
-        self._int_into(out, A_poly, self._p(B, C), -1)
-        self._int_into(out, B_poly, self._p(A, C), -sign)
-        return TPoly(pres, out)
+        self._n_into(out, self._n(A, B), self._mono(C))
+        self._q_rest(out, A, B, C, -1)
+        return TPoly(self.pres, out)
+
+    def _q_rest(self, out: dict, A: TMono, B: TMono, C: TMono, s: int) -> None:
+        """Add s * (N(A, N(B,C)) + N(int A, P(B,C)) + p(A,B) N(int B, P(A,C)))
+        into the term dict out; q(A,B,C) is N(N(A,B), C) minus it."""
+        A_poly = self._mono(A)
+        sign = self.pres.parity_sign(A, B)
+        self._n_into(out, A_poly, self._n(B, C), s)
+        self._int_into(out, A_poly, self._p(B, C), s)
+        self._int_into(out, self._mono(B), self._p(A, C), s * sign)
+
+    def _wl_rest(self, acc: list, A: TMono, B: TMono, C: TMono, s: int) -> None:
+        """Add s * (N(P(A,B), C) + int_0^lambda P(P(A,B), C) + p(A,B) N(B,
+        P(A,C))) into acc; wl(A,B,C) is P(A, N(B,C)) minus it."""
+        sign = self.pres.parity_sign(A, B)
+        self._right_into(acc, self._p(A, B), self._mono(C), s)
+        for m, Y in enumerate(self._p(A, C)):
+            if Y:
+                _lacc(acc, m, self._n_poly(self._mono(B), Y), s * sign)
+
+    def _wr_rest(self, acc: list, A: TMono, B: TMono, C: TMono, s: int) -> None:
+        """Add s * (N(e^{T d_lambda} A, P(B,C)) + p(A,B) N(e^{T d_lambda} B,
+        P(A,C)) + p(A,B) int_0^lambda P(B, P(A,C))) into acc; wr(A,B,C) is
+        P(N(A,B), C) minus it."""
+        B_poly = self._mono(B)
+        sign = self.pres.parity_sign(A, B)
+        pAC = self._p(A, C)
+        self._expand_into(acc, self._mono(A), self._p(B, C), s)
+        self._expand_into(acc, B_poly, pAC, s * sign)
+        self._beta_into(acc, B_poly, pAC, s * sign)
 
 
 def _store(limit: int | None, memo: dict, key, val, *shared: dict) -> None:
@@ -357,10 +342,6 @@ def _store(limit: int | None, memo: dict, key, val, *shared: dict) -> None:
         for m in shared:
             m.clear()
     memo[key] = val
-
-
-def _prepend(rg: RGen, x: TPoly) -> TPoly:
-    return TPoly(x.pres, {(rg,) + mono: s for mono, s in x.terms.items()})
 
 
 def _lacc(acc: list, m: int, x: TPoly, s=None) -> None:

@@ -13,7 +13,8 @@ from .algebra import AlgebraError, render_tmono, render_tpoly
 from .ansatz import AnsatzError, extract_system, solve_and_substitute
 from .calculus import CacheLimitError, CalculusError, Engine
 from .formal import render_lpoly
-from .frontend import ParseError, parse_expression, parse_path, parse_source
+from .frontend import (MAX_DIGITS, ParseError, parse_expression, parse_path,
+                       parse_source)
 from .pbw import PBWError, Reducer, WeightLimitError, character, enumerate_basis
 from .scalars import ScalarError
 from .verify import run_all
@@ -46,10 +47,13 @@ def _emit(payload):
 
 
 def _frac(text, what):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _InputError("%s must be a rational number, got %r" % (what, text))
+    # no exponents: Fraction builds 10^k before any bound can look at it
+    if len(text) <= MAX_DIGITS and "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _InputError("%s must be a rational number, got %r" % (what, text))
 
 
 def _cmd_check(args):

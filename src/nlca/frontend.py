@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from .algebra import Presentation, TPoly
+from .algebra import _RESERVED, Presentation, TPoly
 from .formal import LPoly, render_lpoly
 from .scalars import Scalar, ScalarError, ScalarField, _read_int
 
@@ -171,8 +171,6 @@ def _show(t: Token) -> str:
     return repr(t.text)
 
 
-_RESERVED = ("T", "lambda")
-
 # Bound on every `^k` and on a term's lambda-power.  Coefficient lists are
 # dense in the lambda-power and deriving the skew orientation costs its
 # square, so an unbounded exponent would let a short file run for minutes.
@@ -198,23 +196,6 @@ MAX_SCALAR_SIZE = 1000
 
 # Bound on nested parentheses in a scalar; the grammar recurses once a level.
 MAX_NESTING = 50
-
-# Bound on floor(L * max_weight), the length of pbw.character's table of
-# counts (L the lcm of the weight denominators).  Its cost grows with the
-# square of this; at the bound affine_sl2 takes about a second.
-MAX_WEIGHT_UNITS = 2000
-
-# Bound on the additions of pbw.character's product formula: one pass over
-# the table for each T^n-generator of weight at most the bound, so a table
-# of many generators costs many times what MAX_WEIGHT_UNITS alone admits.
-# Sized to admit affine_sl2 (three generators of weight 1) at that bound,
-# 6,000 passes over 2,001 counts.
-MAX_CHARACTER_WORK = 3 * MAX_WEIGHT_UNITS * (MAX_WEIGHT_UNITS + 1)
-
-# Bound on the number of monomials pbw.enumerate_basis lists, counted
-# before it lists any: the count grows like the partition numbers, so a
-# small weight bound alone still lets the output run to millions of lines.
-MAX_BASIS_SIZE = 100000
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}

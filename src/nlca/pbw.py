@@ -16,7 +16,22 @@ from fractions import Fraction
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
 from .calculus import Engine, _store
-from .frontend import MAX_BASIS_SIZE, MAX_CHARACTER_WORK, MAX_WEIGHT_UNITS
+from .scalars import _fmt_int, _fmt_q
+
+# Bound on floor(L * max_weight), the length of character's table of counts
+# (L the lcm of the weight denominators).  Its cost grows with the square of
+# this; at the bound affine_sl2 takes about a second.
+MAX_WEIGHT_UNITS = 2000
+
+# Bound on the additions of character's product formula (a pass over the
+# table per T^n-generator under the bound, so many generators cost more):
+# affine_sl2 at MAX_WEIGHT_UNITS, 6,000 passes over 2,001 counts, fits.
+MAX_CHARACTER_WORK = 3 * MAX_WEIGHT_UNITS * (MAX_WEIGHT_UNITS + 1)
+
+# Bound on the number of monomials enumerate_basis lists, counted before it
+# lists any: the count grows like the partition numbers, so a small weight
+# bound alone still lets the output run to millions of lines.
+MAX_BASIS_SIZE = 100000
 
 
 class PBWError(Exception):
@@ -24,9 +39,7 @@ class PBWError(Exception):
 
 
 class WeightLimitError(PBWError):
-    """A character or basis past MAX_WEIGHT_UNITS steps of weight or
-    MAX_CHARACTER_WORK additions, or a basis of more than MAX_BASIS_SIZE
-    monomials."""
+    """A character or basis past one of the limits above."""
 
 
 def inversions(pres: Presentation, mono: TMono) -> int:
@@ -140,9 +153,9 @@ def is_normally_ordered(pres: Presentation, mono: TMono) -> bool:
     return _leftmost_inversion(pres, mono) is None
 
 
-def _require_positive_weights(pres: Presentation) -> None:
+def _require_positive_weights(pres: Presentation, what: str) -> None:
     if any(w <= 0 for w in pres.gen_weights):
-        raise PBWError("basis enumeration needs strictly positive weights")
+        raise PBWError("%s needs strictly positive weights" % what)
 
 
 def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
@@ -158,7 +171,7 @@ def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
     """
     if not pres.weights_declared:
         raise PBWError("cannot enumerate a basis without conformal weights")
-    _require_positive_weights(pres)
+    _require_positive_weights(pres, "basis enumeration")
     weight = Fraction(weight)
     if weight < 0:
         return []
@@ -166,10 +179,10 @@ def enumerate_basis(pres: Presentation, weight) -> list[TMono]:
     top, off_lattice = divmod(weight.numerator * unit, weight.denominator)
     if off_lattice:
         return []
-    dims = _dims(pres, "basis at weight %s" % weight, top)
+    dims = _dims(pres, "basis at weight %s" % _fmt_q(weight), top)
     if dims[top] > MAX_BASIS_SIZE:
         raise WeightLimitError("basis at weight %s has more than %d monomials"
-                               % (weight, MAX_BASIS_SIZE))
+                               % (_fmt_q(weight), MAX_BASIS_SIZE))
     cands = sorted((RGen(g, n) for g, w in enumerate(pres.gen_weights)
                     for n in range((top - w) // unit + 1)), key=pres.rgen_key)
     units = [pres.gen_weights[g] + n * unit for g, n in cands]
@@ -218,10 +231,10 @@ def character(pres: Presentation, max_weight) -> dict[Fraction, int]:
     max_weight = Fraction(max_weight)
     if max_weight < 0:
         return {}
-    _require_positive_weights(pres)
+    _require_positive_weights(pres, "character")
     unit = pres.weight_unit
     top = max_weight.numerator * unit // max_weight.denominator
-    dims = _dims(pres, "character to weight %s" % max_weight, top)
+    dims = _dims(pres, "character to weight %s" % _fmt_q(max_weight), top)
     return {Fraction(k, unit): d for k, d in enumerate(dims)}
 
 
@@ -232,14 +245,14 @@ def _dims(pres: Presentation, what: str, top: int) -> list[int]:
     `what` is refused past MAX_WEIGHT_UNITS steps or MAX_CHARACTER_WORK
     additions."""
     if top > MAX_WEIGHT_UNITS:
-        raise WeightLimitError("%s needs %d weight steps, past the limit %d"
-                               % (what, top, MAX_WEIGHT_UNITS))
+        raise WeightLimitError("%s needs %s weight steps, past the limit %d"
+                               % (what, _fmt_int(top), MAX_WEIGHT_UNITS))
     unit = pres.weight_unit
     work = (top + 1) * sum(max(0, (top - w) // unit + 1)
                            for w in pres.gen_weights)
     if work > MAX_CHARACTER_WORK:
-        raise WeightLimitError("%s needs %d additions, past the limit %d"
-                               % (what, work, MAX_CHARACTER_WORK))
+        raise WeightLimitError("%s needs %s additions, past the limit %d"
+                               % (what, _fmt_int(work), MAX_CHARACTER_WORK))
     dims = [1] + [0] * top
     for first, parity in zip(pres.gen_weights, pres.gen_parity):
         for w in range(first, top + 1, unit):

@@ -15,7 +15,6 @@ by frontend.parse_scalar, in the grammar of the file format.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
@@ -30,7 +29,11 @@ class ScalarError(Exception):
 
 _FIELDS: dict[tuple[str, ...], "ScalarField"] = {}
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+
+def is_name(text: str) -> bool:
+    """The file format's name: a letter or _, then letters, digits or _."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(
+        ch.isalnum() or ch == "_" for ch in text)
 
 
 def scalar_field(params=()) -> "ScalarField":
@@ -50,7 +53,7 @@ class ScalarField:
 
     def __init__(self, params: tuple[str, ...]):
         for p in params:
-            if not _NAME_RE.match(p):
+            if not is_name(p):
                 raise ScalarError("bad parameter name %r" % (p,))
         if len(set(params)) != len(params):
             raise ScalarError("duplicate parameter names in %r" % (params,))

@@ -4,6 +4,7 @@ import pytest
 
 from nlca.algebra import AlgebraError, Presentation, RGen, apply_T, render_tmono, render_tpoly
 from nlca.calculus import Engine
+from nlca.scalars import ScalarError
 
 from builders import (degree, make_affine_sl2, make_free_fermion,
                       make_virasoro, make_w3)
@@ -207,6 +208,31 @@ def test_duplicate_and_shadowed_names():
         Presentation([("c", 0, 2, 2)], params=("c",))
     with pytest.raises(AlgebraError):
         Presentation([("L", 0, 0, 2)])
+
+
+def test_names_must_be_names_and_not_reserved():
+    for gens, params, msg in (([("T", 0, 1, 1)], (), "'T' is reserved"),
+                              ([("a", 0, 1, 1)], ("lambda",),
+                               "'lambda' is reserved"),
+                              ([("a b", 0, 1, 1)], (), "'a b' is not a name"),
+                              ([("1", 0, 1, 1)], (), "'1' is not a name"),
+                              ([("a", 0, 1, 1)], ("c\u0301",),
+                               "'c\u0301' is not a name")):
+        with pytest.raises(AlgebraError) as exc:
+            Presentation(gens, params=params)
+        assert str(exc.value) == msg
+    p = Presentation([("\u039b", 0, 2, 2)], params=("\u00e9",),
+                     unknowns=("x\u00b2",))
+    assert p.field.params == ("\u00e9", "x\u00b2")
+
+
+def test_params_and_unknowns_refusals():
+    with pytest.raises(AlgebraError) as exc:
+        Presentation([("L", 0, 2, 2)], params=("c", "u"), unknowns=("u",))
+    assert str(exc.value) == "params and unknowns overlap: ['u']"
+    with pytest.raises(ScalarError) as exc:
+        Presentation([("L", 0, 2, 2)], params=("c", "c"))
+    assert str(exc.value) == "duplicate parameter names in ('c', 'c')"
 
 
 def test_rendering(vir):

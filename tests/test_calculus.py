@@ -12,7 +12,7 @@ from nlca.formal import LPoly
 
 from builders import degree, weights
 from conftest import CONCRETE
-from randgen import random_mono, random_single, random_tensor
+from randgen import random_coeff, random_mono, random_single, random_tensor
 
 
 def neg_lambda(q):
@@ -261,12 +261,22 @@ def test_memoization_transparent(presentations):
 
 def test_memo_entries_unchanged_by_reuse(presentations):
     # results are accumulated in place; a memoized TPoly must never be
-    # the accumulator
+    # the accumulator.  The words have two or more factors, since N(a, B)
+    # for a single factor a is a concatenation the memo never sees.
     rng = random.Random(17)
+
+    def words(p):
+        out = {}
+        while len(out) < 2:
+            mono = random_mono(p, rng)
+            if len(mono) >= 2:
+                out[mono] = random_coeff(rng)
+        return p.poly(out)
+
     for name in ("virasoro", "affine_sl2", "free_fermion"):
         p = presentations[name]
         e = Engine(p)
-        x, y = random_tensor(p, rng), random_tensor(p, rng)
+        x, y = words(p), words(p)
         e.nprod(x, y)
         e.pbracket(x, y)
         n_snap = {k: dict(v.terms) for k, v in e._nmemo.items()}

@@ -389,6 +389,42 @@ def test_character_json(capsys):
     }
 
 
+def test_weight_arguments_are_bounded(capsys, tmp_path):
+    # exponents would build their power of ten before any bound looks
+    for cmd, flag in (("basis", "--weight"), ("character", "--max-weight")):
+        for text in ("1e999999999", "1e5000", "1e-5000", "2E3", "1" * 4301):
+            code, out, err = run(capsys, [cmd, bundled_path("virasoro"),
+                                          flag, text])
+            assert (code, out) == (2, ""), text
+            assert err == ("error: %s must be a rational number, got %r\n"
+                           % (flag, text))
+    code, out, err = run(capsys, ["character", bundled_path("virasoro"),
+                                  "--max-weight", "2.5"])
+    assert (code, out) == (0, "0:1 1:0 2:1\n")
+    # a limit message renders an integer of any length
+    f = tmp_path / "fine.nlca"
+    f.write_text("generator x parity=even degree=1 weight=1/1%s;\n"
+                 % ("0" * 4299))
+    for cmd, what in (("character", "character to weight 10"),
+                      ("basis", "basis at weight 10")):
+        code, out, err = run(capsys, [cmd, str(f), "--" + (
+            "max-weight" if cmd == "character" else "weight"), "10"])
+        assert (code, out) == (2, "")
+        assert err == ("error: %s needs 1%s weight steps, past the limit "
+                       "2000\n" % (what, "0" * 4300))
+
+
+def test_zero_weight_refusal_names_the_command(capsys, tmp_path):
+    f = tmp_path / "zero.nlca"
+    f.write_text("generator x parity=even degree=1 weight=0;\n")
+    code, out, err = run(capsys, ["basis", str(f), "--weight", "1"])
+    assert (code, out, err) == (
+        1, "", "error: basis enumeration needs strictly positive weights\n")
+    code, out, err = run(capsys, ["character", str(f), "--max-weight", "1"])
+    assert (code, out, err) == (
+        1, "", "error: character needs strictly positive weights\n")
+
+
 def test_cache_limit_variable():
     path = bundled_path("virasoro")
     for value, code in (("abc", 2), ("-1", 2), ("1e3", 2), ("", 0), ("0", 0),
@@ -464,6 +500,39 @@ def test_solve_errors(capsys):
                                   "--pin", "c=1"])
     assert code == 2
     assert "declares no unknowns" in err
+
+
+def test_solve_refusals_of_the_solution_space(capsys, tmp_path):
+    code, out, err = run(capsys, ["solve", bundled_path("w3_ansatz"),
+                                  "--pin", "delta=1/6", "--triples", "L,L,L"])
+    assert (code, out, err) == (1, "", "error: solution space has dimension "
+                                "5; a single pin cannot fix it\n")
+    sl2 = tmp_path / "sl2.nlca"
+    sl2.write_text(Path(bundled_path("affine_sl2")).read_text()
+                   .replace("param k;", "param k;\nunknown u;")
+                   .replace("[h,e] = 2*:e:;", "[h,e] = u*:e:;"))
+    code, out, err = run(capsys, ["solve", str(sl2), "--pin", "u=2"])
+    assert (code, out, err) == (
+        1, "", "error: system has inhomogeneous rows\n")
+    # Jacobi on (a, a, b) leaves u*(lambda - mu)*1, so u = 0
+    zero = tmp_path / "zero.nlca"
+    zero.write_text("unknown u;\n"
+                    "generator a parity=even degree=1 weight=1;\n"
+                    "generator b parity=even degree=1 weight=1;\n"
+                    "bracket [a,a] = lambda*1;\nbracket [a,b] = u*:a:;\n")
+    code, out, err = run(capsys, ["solve", str(zero), "--pin", "u=1"])
+    assert (code, out, err) == (
+        1, "", "error: only the zero solution satisfies the system\n")
+
+
+def test_names_in_any_script(capsys, tmp_path):
+    f = tmp_path / "names.nlca"
+    f.write_text("param é;\nunknown x²;\n"
+                 "generator Λ parity=even degree=2 weight=2;\n"
+                 "bracket [Λ,Λ] = :T Λ: + 2*lambda*:Λ: + x²*lambda^3*1;\n")
+    code, out, err = run(capsys, ["solve", str(f), "--pin", "x²=é/12"])
+    assert (code, out, err) == (
+        0, "x² = é/12\nverification: all checks passed\n", "")
 
 
 def test_pin_limits(tmp_path):

@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlca.algebra import Presentation
-from nlca.frontend import (MAX_WORD, ParseError, load_bundled,
+from nlca.algebra import AlgebraError, Presentation
+from nlca.frontend import (MAX_WORD, ParseError, _tokenize, load_bundled,
                            parse_expression, parse_path, parse_scalar,
                            parse_source, render_presentation)
-from nlca.scalars import scalar_field
+from nlca.scalars import is_name, scalar_field
 
 from builders import BUILDERS, bundled_names, same_presentation
 
@@ -215,6 +215,48 @@ def test_word_limit_admits_the_cap(free_boson):
     assert [str(d) for d in exc.value.diagnostics] == [
         "<expr>:1:%d: word exceeds the limit of %d factors"
         % (2 * MAX_WORD + 2, MAX_WORD)]
+
+
+# -- names: one rule for the tokenizer, the fields and Presentation ----------
+
+NAMES = (st.text(st.sampled_from("aZ\u00e9_1\u00b2\u0663 T\u03bb\u0301-"),
+                 max_size=5)
+         | st.sampled_from(["T", "lambda", "name", "param", "even"])
+         | st.text(max_size=3))
+# mostly names, so that most presentations are accepted
+GOOD_NAMES = st.builds(str.__add__, st.sampled_from("aZ\u00e9_\u03bb"),
+                       st.text(st.sampled_from("aZ\u00e9_1\u00b2\u0663"),
+                               max_size=3))
+MOSTLY_NAMES = st.integers(0, 4).flatmap(
+    lambda i: NAMES if i == 0 else GOOD_NAMES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NAMES)
+def test_name_rule_is_the_tokenizer_rule(text):
+    diags = []
+    toks = _tokenize(text, "<t>", diags)
+    one_name = (not diags and len(toks) == 2 and toks[0].kind == "name"
+                and toks[0].text == text)
+    assert is_name(text) == one_name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.none() | MOSTLY_NAMES,
+       st.lists(MOSTLY_NAMES, min_size=3, max_size=3, unique=True))
+def test_presentation_refuses_its_names_or_round_trips(name, names):
+    param, unknown, gen = names
+    try:
+        p = Presentation([(gen, 0, 1, 1)], params=(param,),
+                         unknowns=(unknown,), name=name)
+    except AlgebraError:
+        return
+    s = p.field.param(param) + p.field.param(unknown)
+    p.set_bracket(gen, gen, [p.gen(gen).scale(s), p.unit().scale(s)])
+    text = render_presentation(p)
+    p2 = parse_source(text)
+    assert same_presentation(p, p2)
+    assert render_presentation(p2) == text
 
 
 # -- fuzzing: any text gives a value or a ParseError -------------------------

@@ -9,9 +9,10 @@ import pytest
 from nlca.algebra import Presentation, TPoly
 from nlca.algebra import render_tpoly
 from nlca.calculus import Engine
-from nlca.frontend import MAX_WEIGHT_UNITS, load_bundled
-from nlca.pbw import (PBWError, Reducer, WeightLimitError, character,
-                      enumerate_basis, inversions, is_normally_ordered)
+from nlca.frontend import load_bundled
+from nlca.pbw import (MAX_WEIGHT_UNITS, PBWError, Reducer, WeightLimitError,
+                      character, enumerate_basis, inversions,
+                      is_normally_ordered)
 
 from builders import bundled_names
 from conftest import CONCRETE
