@@ -228,10 +228,10 @@ def character(pres: Presentation, max_weight) -> dict[Fraction, int]:
     """
     if not pres.weights_declared:
         raise PBWError("cannot form a character without conformal weights")
+    _require_positive_weights(pres, "character")
     max_weight = Fraction(max_weight)
     if max_weight < 0:
         return {}
-    _require_positive_weights(pres, "character")
     unit = pres.weight_unit
     top = max_weight.numerator * unit // max_weight.denominator
     dims = _dims(pres, "character to weight %s" % _fmt_q(max_weight), top)

@@ -5,18 +5,28 @@ function of the declared parameters (and, for ansatz presentations, the
 declared unknowns) with exact rational coefficients.  Scalars from different
 fields never mix; arithmetic between them raises ScalarError.
 
-The representation is backed by sympy's sparse rational function fields,
-which keep every element reduced (gcd of numerator and denominator is 1,
-denominator has a positive leading coefficient in graded-lex order), so
-structural equality of canonical forms is plain equality of the wrapped
-elements.  The representation stays private to this module; text is read
-by frontend.parse_scalar, in the grammar of the file format.
+The representation is backed by sympy's sparse rational function fields.
+Every element is kept as N/D in one canonical form: N and D have integer
+coefficients, are coprime over Q[params] and have coprime integer
+contents, and the leading coefficient of D in graded-lex order is
+positive.  So structural equality of canonical forms is plain equality of
+the wrapped elements.  The representation stays private to this module;
+text is read by frontend.parse_scalar, in the grammar of the file format.
+
+sympy reaches the canonical form through `cancel`, a polynomial gcd.  Sums
+and products skip it where the gcd is known to be trivial: a product with
+±1; a nonzero constant with a non-constant operand; two polynomials (both
+denominators constant).  There only the integer contents are divided out.
+Differences are sums with the negation, which never cancels.  Constant by
+constant, rational function with rational function, division and powers
+still call `cancel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from math import gcd
 
 from sympy import QQ
 from sympy.polys.fields import field as _sympy_field
@@ -135,24 +145,27 @@ class Scalar:
         return hash(self.raw)
 
     def __add__(self, other):
-        r = self.field._coerce_raw(other)
+        fld = self.field
+        r = fld._coerce_raw(other)
         if r is None:
             return NotImplemented
-        return Scalar(self.field, self.raw + r)
+        return Scalar(fld, _sum(fld, self.raw, r))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        r = self.field._coerce_raw(other)
+        fld = self.field
+        r = fld._coerce_raw(other)
         if r is None:
             return NotImplemented
-        return Scalar(self.field, self.raw - r)
+        return Scalar(fld, _sum(fld, self.raw, r, -1))
 
     def __rsub__(self, other):
-        r = self.field._coerce_raw(other)
+        fld = self.field
+        r = fld._coerce_raw(other)
         if r is None:
             return NotImplemented
-        return Scalar(self.field, r - self.raw)
+        return Scalar(fld, _sum(fld, r, self.raw, -1))
 
     def __neg__(self):
         fld = self.field
@@ -178,6 +191,9 @@ class Scalar:
             return Scalar(fld, r)
         if a is fld._minus_one:
             return Scalar(fld, -r)
+        if _gcd_free(a, r):
+            return Scalar(fld, _lowest_terms(fld, a.numer * r.numer,
+                                             a.denom * r.denom))
         return Scalar(fld, a * r)
 
     __rmul__ = __mul__
@@ -232,6 +248,49 @@ class Scalar:
     def complexity(self) -> int:
         """Number of terms in the numerator plus the denominator."""
         return len(self.raw.numer) + len(self.raw.denom)
+
+
+# -- sums and products without cancel ----------------------------------------
+
+def _gcd_free(a, b) -> bool:
+    """Whether the numerator and denominator that a + b and a * b get from
+    the plain formulas are coprime over Q[params]: exactly one operand is a
+    constant, or both are polynomials and not both constants.  (A zero
+    constant gives a zero numerator, which _lowest_terms maps to zero.)"""
+    if a.denom.is_ground:
+        if b.denom.is_ground:
+            return not (a.numer.is_ground and b.numer.is_ground)
+        return a.numer.is_ground
+    return b.denom.is_ground and b.numer.is_ground
+
+
+def _sum(fld, a, b, sign=1):
+    """The backing element of a + b, or of a - b for sign -1."""
+    if not b:
+        return a
+    if not a:
+        return b if sign > 0 else -b
+    if not _gcd_free(a, b):
+        return a + b if sign > 0 else a - b
+    bn = b.numer if sign > 0 else -b.numer
+    if a.denom == b.denom:
+        return _lowest_terms(fld, a.numer + bn, a.denom)
+    return _lowest_terms(fld, a.numer * b.denom + bn * a.denom,
+                         a.denom * b.denom)
+
+
+def _lowest_terms(fld, num, den):
+    """num/den in canonical form, for num and den with integer
+    coefficients, coprime over Q[params], den with a positive leading
+    coefficient: only the gcd of their integer contents is left to divide
+    out."""
+    if not num:
+        return fld._field.zero
+    g = gcd(*[c.numerator for c in den.values()],
+            *[c.numerator for c in num.values()])
+    if g != 1:
+        num, den = num.quo_ground(g), den.quo_ground(g)
+    return fld._field.raw_new(num, den)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -417,12 +417,15 @@ def test_weight_arguments_are_bounded(capsys, tmp_path):
 def test_zero_weight_refusal_names_the_command(capsys, tmp_path):
     f = tmp_path / "zero.nlca"
     f.write_text("generator x parity=even degree=1 weight=0;\n")
-    code, out, err = run(capsys, ["basis", str(f), "--weight", "1"])
-    assert (code, out, err) == (
-        1, "", "error: basis enumeration needs strictly positive weights\n")
-    code, out, err = run(capsys, ["character", str(f), "--max-weight", "1"])
-    assert (code, out, err) == (
-        1, "", "error: character needs strictly positive weights\n")
+    # the weights are checked before a negative weight gives an empty answer
+    for weight in ("1", "-1"):
+        code, out, err = run(capsys, ["basis", str(f), "--weight", weight])
+        assert (code, out, err) == (1, "", "error: basis enumeration needs "
+                                    "strictly positive weights\n")
+        code, out, err = run(capsys,
+                             ["character", str(f), "--max-weight", weight])
+        assert (code, out, err) == (
+            1, "", "error: character needs strictly positive weights\n")
 
 
 def test_cache_limit_variable():

@@ -1,9 +1,11 @@
 """Differential tests: each exact shortcut against the plain path.
 
-Scalar products with ±1 skip sympy's cancel, and generator metadata is
-kept in integer units (ranks, degree and weight units, parity bits).  Each must give
-the very value, rendering and hash of the plain computation, and every
-check built on the integer units must still fire, with the same message.
+Scalar products with ±1, and sums and products where one operand is a
+constant or both are polynomials, skip sympy's cancel; generator metadata
+is kept in integer units (ranks, degree and weight units, parity bits).
+Each must give the very value, rendering and hash of the plain
+computation, and every check built on the integer units must still fire,
+with the same message.
 """
 
 import random
@@ -12,6 +14,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.rings import PolyElement
 
 from nlca.algebra import AlgebraError, Presentation, RGen, apply_T
 from nlca.calculus import CalculusError, Engine
@@ -24,21 +27,24 @@ from randgen import random_coeff
 FIELDS = ((), ("c",), ("a", "b"))
 
 
+def polynomial(fld, rng):
+    """A seeded polynomial in the parameters of fld, with coefficients
+    from randgen (so its integer content and denominator vary)."""
+    out = fld.convert(random_coeff(rng))
+    for p in fld.params:
+        out = out + fld.param(p) * random_coeff(rng)
+        if rng.random() < 0.5:
+            out = out * (fld.param(p) + random_coeff(rng))
+    return out
+
+
 def rational_function(fld, rng):
     """A seeded element of fld: a ratio of small polynomials in its
     parameters with coefficients from randgen, or a rational constant."""
-    def poly():
-        out = fld.convert(random_coeff(rng))
-        for p in fld.params:
-            out = out + fld.param(p) * random_coeff(rng)
-            if rng.random() < 0.5:
-                out = out * (fld.param(p) + random_coeff(rng))
-        return out
-
-    den = poly()
+    den = polynomial(fld, rng)
     while den.is_zero:
-        den = poly()
-    return poly() / den
+        den = polynomial(fld, rng)
+    return polynomial(fld, rng) / den
 
 
 def assert_same(x, y):
@@ -94,6 +100,113 @@ def test_unit_constants_are_cached():
         assert -fld.one is fld.minus_one
         assert -fld.minus_one is fld.one
         assert str(fld.minus_one) == "-1"
+
+
+# -- sums and products with a constant, or of two polynomials ---------------
+
+def draw(fld, rng, kind):
+    """A seeded element of fld of the given kind: a constant (zero one
+    time in eight), a polynomial, or a rational function."""
+    if kind == "constant":
+        return fld.zero if rng.random() < 0.125 else fld.convert(
+            random_coeff(rng))
+    if kind == "polynomial":
+        return polynomial(fld, rng)
+    return rational_function(fld, rng)
+
+
+KINDS = ("constant", "polynomial", "rational function")
+
+
+def check_sums_and_products(fld, x, y):
+    """x + y, x - y, x * y in both orders, and with y as a Fraction where
+    it is a constant, against sympy's add, subtract and multiply (each of
+    which cancels)."""
+    for u, v in ((x, y), (y, x)):
+        assert_same(u + v, Scalar(fld, u.raw + v.raw))
+        assert_same(u - v, Scalar(fld, u.raw - v.raw))
+        assert_same(u * v, Scalar(fld, u.raw * v.raw))
+    if y.raw.numer.is_ground and y.raw.denom.is_ground:
+        q = Fraction(str(y))
+        for fast, plain in ((x + q, x.raw + y.raw), (q + x, y.raw + x.raw),
+                            (x - q, x.raw - y.raw), (q - x, y.raw - x.raw),
+                            (x * q, x.raw * y.raw), (q * x, y.raw * x.raw)):
+            assert_same(fast, Scalar(fld, plain))
+
+
+def test_sums_and_products_match_plain_path_seeded():
+    rng = random.Random(1313)
+    for params in FIELDS:
+        fld = scalar_field(params)
+        for kx, ky in product(KINDS, repeat=2):
+            for _ in range(12):
+                check_sums_and_products(fld, draw(fld, rng, kx),
+                                        draw(fld, rng, ky))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from(KINDS),
+       st.sampled_from(KINDS), st.integers(0, 2 ** 32))
+def test_sums_and_products_match_plain_path_hypothesis(params, kx, ky, seed):
+    fld = scalar_field(params)
+    rng = random.Random(seed)
+    check_sums_and_products(fld, draw(fld, rng, kx), draw(fld, rng, ky))
+
+
+def test_sums_and_products_edge_cases():
+    fld = scalar_field(("c",))
+    c = fld.param("c")
+    f = (c + 1) / (2 * c + 6)  # integer contents 1 and 2
+    p = (c + 1) / 6
+    pairs = [(c, -c), (c, 1 - c), (p, (5 - c) / 6), (p, p), (p, 3 * c - 1)]
+    pairs += [(x, fld.convert(q)) for x, q in ((f, Fraction(4, 3)),
+                                               (f, Fraction(5, 6)),
+                                               (p, Fraction(4, 3)))]
+    for x, y in pairs:
+        check_sums_and_products(fld, x, y)
+    for got, want in ((c + (-c), "0"), (c + (1 - c), "1"),
+                      (p + (5 - c) / 6, "1"), (p - p, "0"),
+                      (p + p, "(c + 1)/3"), (p + 3 * c - 1, "(19*c - 5)/6"),
+                      (p * (3 * c - 1), "(3*c^2 + 2*c - 1)/6"),
+                      (f * Fraction(4, 3), "(2*c + 2)/(3*c + 9)"),
+                      (f + Fraction(5, 6), "(4*c + 9)/(3*c + 9)"),
+                      (p * Fraction(4, 3), "(2*c + 2)/9"),
+                      (p + Fraction(4, 3), "(c + 9)/6")):
+        assert str(got) == want
+    assert (c + (-c)).raw == fld.zero.raw
+    assert (c + (1 - c)).raw == fld.one.raw
+
+
+def test_no_cancel_with_a_constant_or_two_polynomials(monkeypatch):
+    rng = random.Random(1717)
+    fld = scalar_field(("c", "k"))
+    kinds = {k: [draw(fld, rng, k) for _ in range(20)] for k in KINDS}
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting_cancel(self, other):
+        calls.append(1)
+        return cancel(self, other)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting_cancel)
+
+    def cancels(xs, ys):
+        del calls[:]
+        for x, y in zip(xs, ys):
+            x + y, x - y, x * y, y + x, y - x, y * x
+        return len(calls)
+
+    constants = [x for x in kinds["constant"] if x]
+    # (a) a nonzero constant with a non-constant operand
+    assert cancels(constants, kinds["polynomial"]) == 0
+    assert cancels(constants, kinds["rational function"]) == 0
+    # (b) two polynomials
+    assert cancels(kinds["polynomial"], kinds["polynomial"][::-1]) == 0
+    # constant by constant and rational function with rational function
+    # keep sympy's path
+    assert cancels(constants, constants[::-1]) > 0
+    assert cancels(kinds["rational function"],
+                   kinds["rational function"][::-1]) > 0
 
 
 # -- generator metadata in integer units -------------------------------------

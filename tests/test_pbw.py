@@ -426,9 +426,11 @@ def test_character_matches_enumerator_on_random_generators():
 
 def test_character_edge_cases(virasoro):
     q = Presentation([("x", 0, 1, 0)])
-    with pytest.raises(PBWError):
-        character(q, 2)
-    assert character(q, -1) == {}
+    # the weights are checked first, also for a negative max_weight
+    for w in (2, -1):
+        with pytest.raises(PBWError,
+                           match="character needs strictly positive weights"):
+            character(q, w)
     assert character(virasoro, -1) == {}
     assert character(virasoro, Fraction(5, 2)) == {0: 1, 1: 0, 2: 1}
 
