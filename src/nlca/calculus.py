@@ -15,12 +15,15 @@ stats.  A lambda-polynomial is a dense list of TPoly coefficients indexed
 by the lambda-power, the shape Presentation.bracket_r returns; sums are
 built in place in term dicts the caller owns, never in a memoized TPoly.
 Only the public methods wrap a result in an LPoly, to name its variable.
-Every memoized entry is verified against the degree bounds
-deg N(A,B) <= deg A + deg B and deg P(A,B) < deg A + deg B.
+A third memo holds the commutator lie(a, b), the integral of [a_lambda b]
+over [-T, 0], of each pair of T^n-generators in closed form (_lie); the
+PBW swap step reads it.  Every memoized entry is verified against the
+degree bounds deg N(A,B) <= deg A + deg B and deg P(A,B), deg lie(a,b) <
+deg A + deg B.
 
 NLCA_CACHE_LIMIT, if set and not empty, is a non-negative integer: an
-Engine wipes both of its memos when their entries reach it, and a Reducer
-wipes its memo likewise, by the same rule (_store).
+Engine wipes its three memos when their entries together reach it, and a
+Reducer wipes its memo likewise, by the same rule (_store).
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ class Engine:
         self.cache_limit = _cache_limit()
         self._nmemo: dict = {}
         self._pmemo: dict = {}
-        self.stats = {"n_calls": 0, "p_calls": 0, "n_hits": 0, "p_hits": 0}
+        self._liememo: dict = {}
+        self.stats = {"n_calls": 0, "p_calls": 0, "lie_calls": 0,
+                      "n_hits": 0, "p_hits": 0, "lie_hits": 0}
 
     # -- public operations ---------------------------------------------------
 
@@ -74,7 +79,9 @@ class Engine:
 
     def lie(self, x: TPoly, y: TPoly) -> TPoly:
         """Integral of the quasi-bracket over [-T, 0]."""
-        return _int_minus_T(self.pres, self._p_poly(x, y))
+        acc = self._multilinear(lambda A, B: ((0, self._lie_mono(A, B)),),
+                                (x, y))
+        return TPoly(self.pres, acc.get(0, {}))
 
     def m_element(self, A: TPoly, b: RGen, c: RGen, D: TPoly) -> TPoly:
         """A (x) sn(b, c, D): a generating element of the PBW kernel ideal."""
@@ -173,7 +180,8 @@ class Engine:
                     "degree bound broken: N(%s, %s) contains %s"
                     % (render_tmono(pres, A), render_tmono(pres, B),
                        render_tmono(pres, mono)))
-        _store(self.cache_limit, self._nmemo, (A, B), out, self._pmemo)
+        _store(self.cache_limit, self._nmemo, (A, B), out, self._pmemo,
+               self._liememo)
         return out
 
     def _p(self, A: TMono, B: TMono) -> list[TPoly]:
@@ -202,8 +210,45 @@ class Engine:
                         "degree bound broken: P(%s, %s) contains %s"
                         % (render_tmono(pres, A), render_tmono(pres, B),
                            render_tmono(pres, mono)))
-        _store(self.cache_limit, self._pmemo, (A, B), out, self._nmemo)
+        _store(self.cache_limit, self._pmemo, (A, B), out, self._nmemo,
+               self._liememo)
         return out
+
+    def _lie(self, a: RGen, b: RGen) -> TPoly:
+        """lie(T^m x, T^n y) = sum_k (-1)^k B(m+k+1, n+1) T^(m+n+k+1) X_k,
+        X_k the lambda^k coefficient of [x_lambda y]: the integral over
+        [-T, 0] of (-lambda)^m (lambda+T)^n [x_lambda y] in closed form,
+        by int_{-T}^0 lambda^p = (-1)^p T^(p+1)/(p+1) and
+        sum_j C(n,j) (-1)^j / (a+j) = B(a, n+1)."""
+        self.stats["lie_calls"] += 1
+        hit = self._liememo.get((a, b))
+        if hit is not None:
+            self.stats["lie_hits"] += 1
+            return hit
+        pres = self.pres
+        m, n = a.n, b.n
+        d: dict = {}
+        for k, X in enumerate(pres.pair_coeffs(a.gen, b.gen)):
+            if X:
+                _add_scaled(d, apply_T(X, m + n + k + 1),
+                            (-1) ** k * _beta(m + k, n))
+        out = TPoly(pres, d)
+        bound = pres.gen_units[a.gen] + pres.gen_units[b.gen]
+        for mono in d:
+            if not pres.mono_units(mono) < bound:
+                raise CalculusError(
+                    "degree bound broken: lie(%s, %s) contains %s"
+                    % (render_tmono(pres, (a,)), render_tmono(pres, (b,)),
+                       render_tmono(pres, mono)))
+        _store(self.cache_limit, self._liememo, (a, b), out, self._nmemo,
+               self._pmemo)
+        return out
+
+    def _lie_mono(self, A: TMono, B: TMono) -> TPoly:
+        """lie of two monomials, from the _lie memo for single factors."""
+        if len(A) == 1 and len(B) == 1:
+            return self._lie(A[0], B[0])
+        return _int_minus_T(self.pres, self._p(A, B))
 
     def _int_into(self, out: dict, x: TPoly, coeffs: list, s: int) -> None:
         """Add s * sum_m N(T^(m+1) x / (m+1), X_m) into the term dict out."""
@@ -281,7 +326,7 @@ class Engine:
         out: dict = {}
         self._n_into(out, A_poly, self._n_poly(B_poly, C_poly))
         self._n_into(out, B_poly, self._n_poly(A_poly, C_poly), -sign)
-        self._n_into(out, _int_minus_T(self.pres, self._p(A, B)), C_poly, -1)
+        self._n_into(out, self._lie_mono(A, B), C_poly, -1)
         return TPoly(self.pres, out)
 
     def _wl_mono(self, A: TMono, B: TMono, C: TMono) -> list[TPoly]:

@@ -5,7 +5,10 @@ generator order (degree, declaration index, T-power) and no odd factor
 repeats adjacently.  The reduction rewrites the leftmost violation: an
 out-of-order adjacent pair (a, b) becomes the Koszul-signed swap plus the
 correction  prefix (x) N(lie(a, b), suffix);  an adjacent repeat of an odd
-generator a becomes  (1/2) prefix (x) N(lie(a, a), suffix).  Rewrites
+generator a becomes  (1/2) prefix (x) N(lie(a, a), suffix).  lie(a, b) is
+read from the Engine's memo of generator-pair commutators; a zero one (as
+every free-field one is) gives no correction to build or reduce.  After a
+swap at p the search for the next violation resumes at p - 1.  Rewrites
 strictly descend in (degree, inversion count), which a monitor checks on
 every rewrite.
 """
@@ -85,35 +88,46 @@ class Reducer:
         pres = self.pres
         one = pres.field.one
         eng = self.engine
-        chain = []  # (word, sign, sigma(correction))
+        chain = []  # (word, sign, sigma(correction) or None when it is 0)
+        start = 0
         while True:
-            pos = _leftmost_inversion(pres, E)
+            pos = _leftmost_inversion(pres, E, start)
             if pos is None:
                 out = TPoly(pres, {E: one})
                 break
             a, b = E[pos], E[pos + 1]
             prefix, suffix = E[:pos], E[pos + 2:]
-            ab = eng.lie(TPoly(pres, {(a,): one}), TPoly(pres, {(b,): one}))
-            corr = TPoly(pres, {prefix: one}).tensor(
-                eng.nprod(ab, TPoly(pres, {suffix: one})))
+            ab = eng._lie(a, b)
+            corr = TPoly(pres)
+            if ab:
+                corr = TPoly(pres, {prefix: one}).tensor(
+                    eng.nprod(ab, TPoly(pres, {suffix: one})))
             if pres.rgen_key(a) <= pres.rgen_key(b):
                 # adjacent repeat of an odd generator
                 self._monitor(E, corr)
-                out = self.normal_order(corr).scale(Fraction(1, 2))
+                out = TPoly(pres)
+                if corr:
+                    out = self.normal_order(corr).scale(Fraction(1, 2))
                 break
             swapped = prefix + (b, a) + suffix
             self._monitor(E, corr, swapped, pos)
             chain.append((E, pres.parity_sign((a,), (b,)),
-                          self.normal_order(corr)))
+                          self.normal_order(corr) if corr else None))
             E = swapped
             out = self._memo.get(E)
             if out is not None:
                 break
+            # the pairs left of pos - 1 are unchanged, and were ordered
+            start = max(pos - 1, 0)
         limit = eng.cache_limit
         _store(limit, self._memo, E, out)
         for word, sign, head in reversed(chain):
-            _add_scaled(head.terms, out, sign)
-            out = head
+            if head is None:
+                # entries are never mutated, so the chain may share one
+                out = out if sign == 1 else -out
+            else:
+                _add_scaled(head.terms, out, sign)
+                out = head
             _store(limit, self._memo, word, out)
         return out
 
@@ -140,9 +154,11 @@ class Reducer:
                     % (render_tmono(pres, mono), pres.mono_degree(E)))
 
 
-def _leftmost_inversion(pres: Presentation, E: TMono) -> int | None:
+def _leftmost_inversion(pres: Presentation, E: TMono,
+                        start: int = 0) -> int | None:
+    """The first position p >= start where E[p], E[p+1] violate the order."""
     key, bits = pres.rgen_key, pres.gen_parity
-    for p in range(len(E) - 1):
+    for p in range(start, len(E) - 1):
         ka, kb = key(E[p]), key(E[p + 1])
         if ka > kb or (ka == kb and bits[E[p][0]]):
             return p

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
-from nlca.algebra import TPoly, apply_T, render_tpoly
-from nlca.calculus import CalculusError, Engine, _beta
+from nlca.algebra import Presentation, RGen, TPoly, apply_T, render_tpoly
+from nlca.calculus import CalculusError, Engine, _beta, _int_minus_T
 from nlca.formal import LPoly
+from nlca.frontend import load_bundled
 
-from builders import degree, weights
+from builders import bundled_names, degree, weights
 from conftest import CONCRETE
 from randgen import random_coeff, random_mono, random_single, random_tensor
 
@@ -277,20 +279,29 @@ def test_memo_entries_unchanged_by_reuse(presentations):
         p = presentations[name]
         e = Engine(p)
         x, y = words(p), words(p)
+        a, b = random_single(p, rng), random_single(p, rng)
         e.nprod(x, y)
         e.pbracket(x, y)
+        e.lie(a + b, b)
         n_snap = {k: dict(v.terms) for k, v in e._nmemo.items()}
         p_snap = {k: [dict(X.terms) for X in v] for k, v in e._pmemo.items()}
+        lie_snap = {k: dict(v.terms) for k, v in e._liememo.items()}
         for _ in range(3):
             e.nprod(x, y)
             e.nprod(x + y, y)
             e.pbracket(x, y)
             e.lie(x, y)
+            e.lie(a + b, b)
+            e.lie(b, a + b)
+            e.structure_defect("sn", a, b + a, y)
         assert e.stats["n_hits"] > 0 and e.stats["p_hits"] > 0
+        assert e.stats["lie_hits"] > 0
         for k, terms in n_snap.items():
             assert e._nmemo[k].terms == terms
         for k, lst in p_snap.items():
             assert [X.terms for X in e._pmemo[k]] == lst
+        for k, terms in lie_snap.items():
+            assert e._liememo[k].terms == terms
 
 
 def test_bilinearity(presentations, engines):
@@ -315,3 +326,57 @@ def test_beta_tail_coefficient():
             assert _beta(n, m) == sum(
                 Fraction(comb(n, k) * (-1) ** (n - k), n - k + m + 1)
                 for k in range(n + 1)), (n, m)
+
+
+# -- the closed-form commutator of two T^n-generators ------------------------
+
+def random_coeff_table(rng):
+    """Two or three generators of degree 1 or 2, one parameter c, and a
+    bracket on every given pair whose lambda-coefficients are sums of
+    monomials under the degree bound with randgen coefficients, some
+    times c."""
+    gens = [("g%d" % i, rng.randrange(2), rng.choice((1, 2)), None)
+            for i in range(rng.randrange(2, 4))]
+    p = Presentation(gens, params=("c",))
+    c = p.field.param("c")
+    for i, j in product(range(len(gens)), repeat=2):
+        if i > j or rng.random() < 0.2:
+            continue
+        bound = gens[i][2] + gens[j][2]
+        coeffs = []
+        for _ in range(rng.randrange(1, 4)):
+            terms = {}
+            for _ in range(rng.randrange(3)):
+                mono = ()
+                while rng.random() < 0.6:
+                    g = rng.randrange(len(gens))
+                    if p.mono_degree(mono) + gens[g][2] < bound:
+                        mono += (RGen(g, rng.randrange(3)),)
+                s = p.field.convert(random_coeff(rng))
+                terms[mono] = s * c if rng.random() < 0.3 else s
+            coeffs.append(p.poly(terms))
+        p.set_bracket(gens[i][0], gens[j][0], coeffs)
+    return p
+
+
+def test_lie_closed_form_matches_the_integral():
+    # the memoized closed form against the plain path: the sesquilinear
+    # expansion (-lambda)^m (lambda+T)^n [a_lambda b] of the stored table,
+    # integrated over [-T, 0]; same value and same rendering, and through
+    # Engine.lie too
+    rng = random.Random(41)
+    tables = [load_bundled(name) for name in bundled_names()]
+    tables += [random_coeff_table(rng) for _ in range(8)]
+    assert {p.name for p in tables} >= {"free_fermion", "w3", "w3_ansatz"}
+    for p in tables:
+        e = Engine(p)
+        one = p.field.one
+        rgens = [RGen(g, n) for g in range(len(p.generators))
+                 for n in range(5)]
+        for a, b in product(rgens, repeat=2):
+            want = _int_minus_T(p, p.bracket_r(a, b))
+            got = e._lie(a, b)
+            assert got == want, (p.name, a, b)
+            assert render_tpoly(got) == render_tpoly(want)
+            assert e.lie(TPoly(p, {(a,): one}), TPoly(p, {(b,): one})) == want
+        assert len(e._liememo) == len(rgens) ** 2

@@ -299,13 +299,18 @@ def test_fractional_degree_bound_still_raises():
     with pytest.raises(CalculusError) as info:
         e.pbracket(p.gen("a"), p.gen("b"))
     assert str(info.value) == "degree bound broken: P(:a:, :b:) contains :a b:"
+    with pytest.raises(CalculusError) as info:
+        e.lie(p.gen("b"), p.gen("a"))
+    assert str(info.value) == ("degree bound broken: lie(:b:, :a:) contains "
+                               ":T a b:")
 
 
 class _UnboundedLie(Engine):
     """lie(b, a) = T(:a b:), as the table gives it, without the engine's
-    degree bound, so only the reducer checks."""
+    degree bound, so only the reducer checks.  The reducer's swap step
+    reads the commutator of a generator pair from _lie."""
 
-    def lie(self, x, y):
+    def _lie(self, a, b):
         return apply_T(self.pres.poly({self.pres.mono("a", "b"): 1}))
 
 

@@ -128,6 +128,19 @@ def test_reduce_long_reversed_word(free_boson):
     assert got == p.poly({tuple(reversed(word)): 1})
 
 
+def test_reduce_fermion_word_to_signed_sorted_word(free_fermion):
+    # free-fermion corrections are 0, so a word of distinct T powers
+    # reduces to its sorted word, signed by the parity of its inversions
+    p = free_fermion
+    rng = random.Random(19)
+    for n in (2, 3, 7, 12):
+        powers = rng.sample(range(20), n)
+        word = p.mono(*(("phi", k) for k in powers))
+        got = Reducer(Engine(p)).normal_order(p.poly({word: 1}))
+        sign = (-1) ** inversions(p, word)
+        assert got == p.poly({tuple(sorted(word)): sign})
+
+
 class _SizeLog(dict):
     """A memo that records the most entries it ever held."""
     most = 0
@@ -147,6 +160,59 @@ def test_cache_limit_caps_the_reducer_memo(free_boson, monkeypatch):
     red._memo = _SizeLog()
     assert red.normal_order(x) == want
     assert 0 < red._memo.most <= 50
+
+
+class _GroupLog(dict):
+    """One of an Engine's memos: counts its stores and wipes, and records
+    the most entries its group of memos held together."""
+    stores = wipes = most = 0
+    group = ()
+
+    def __setitem__(self, key, val):
+        super().__setitem__(key, val)
+        self.stores += 1
+        self.most = max(self.most, sum(map(len, self.group)))
+
+    def clear(self):
+        self.wipes += 1
+        super().clear()
+
+
+def test_cache_limit_wipes_the_engine_memos_together(w3, monkeypatch):
+    # the swaps fill the commutator memo, the corrections N(lie(W, W), ...)
+    # the N and P memos
+    p = w3
+    x = p.poly({p.mono(("W", 1), "W", "L", "W"): 1})
+    want = Reducer(Engine(p)).normal_order(x)
+    monkeypatch.setenv("NLCA_CACHE_LIMIT", "12")
+    e = Engine(p)
+    memos = [_GroupLog() for _ in range(3)]
+    e._nmemo, e._pmemo, e._liememo = memos
+    for m in memos:
+        m.group = memos
+    assert Reducer(e).normal_order(x) == want
+    assert all(m.stores > 0 for m in memos)
+    wipes = {m.wipes for m in memos}
+    assert len(wipes) == 1 and wipes.pop() > 0
+    assert max(m.most for m in memos) <= 12
+
+
+def test_reversed_free_boson_word_builds_each_commutator_once(free_boson):
+    # every free-boson commutator is 0, so no swap builds a correction or
+    # reaches the P memo; the chain swaps each of the 780 inverted pairs
+    # once, and a second Reducer on the same Engine builds none again
+    p = free_boson
+    word = p.mono(*(("a", n) for n in range(39, -1, -1)))
+    x = p.poly({word: 1})
+    e = Engine(p)
+    for _ in range(2):
+        red = Reducer(e)
+        assert red.normal_order(x) == p.poly({tuple(reversed(word)): 1})
+        # one descent check per swap, one swap per inversion
+        assert red.descent_checks == inversions(p, word) == 780
+    assert e.stats["p_calls"] == 0
+    assert e.stats["lie_calls"] == 2 * 780
+    assert e.stats["lie_hits"] == 780 == len(e._liememo)
 
 
 # -- the kernel of sigma -----------------------------------------------------
