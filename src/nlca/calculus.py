@@ -17,9 +17,10 @@ built in place in term dicts the caller owns, never in a memoized TPoly.
 Only the public methods wrap a result in an LPoly, to name its variable.
 A third memo holds the commutator lie(a, b), the integral of [a_lambda b]
 over [-T, 0], of each pair of T^n-generators in closed form (_lie); the
-PBW swap step reads it.  Every memoized entry is verified against the
-degree bounds deg N(A,B) <= deg A + deg B and deg P(A,B), deg lie(a,b) <
-deg A + deg B.
+PBW swap step reads it.  The closed forms' rational weights (1/(m+1),
+Beta values) are converted to scalars once per field (_weight).  Every
+memoized entry is verified against the degree bounds deg N(A,B) <= deg A
++ deg B and deg P(A,B), deg lie(a,b) < deg A + deg B.
 
 NLCA_CACHE_LIMIT, if set and not empty, is a non-negative integer: an
 Engine wipes its three memos when their entries together reach it, and a
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -229,9 +231,10 @@ class Engine:
         m, n = a.n, b.n
         d: dict = {}
         for k, X in enumerate(pres.pair_coeffs(a.gen, b.gen)):
-            if X:
-                _add_scaled(d, apply_T(X, m + n + k + 1),
-                            (-1) ** k * _beta(m + k, n))
+            img = apply_T(X, m + n + k + 1)
+            if img:
+                _add_scaled(d, img, _weight(
+                    pres.field, (-1) ** k, _beta(m + k, n).denominator))
         out = TPoly(pres, d)
         bound = pres.gen_units[a.gen] + pres.gen_units[b.gen]
         for mono in d:
@@ -254,7 +257,8 @@ class Engine:
         """Add s * sum_m N(T^(m+1) x / (m+1), X_m) into the term dict out."""
         for m, X in enumerate(coeffs):
             if X:
-                img = apply_T(x, m + 1).scale(Fraction(s, m + 1))
+                img = apply_T(x, m + 1).scale(
+                    _weight(self.pres.field, s, m + 1))
                 self._n_into(out, img, X)
 
     def _right_into(self, acc: list, coeffs: list, y: TPoly, s: int) -> None:
@@ -264,7 +268,8 @@ class Engine:
             if X:
                 _lacc(acc, i, self._n_poly(X, y), s)
                 for m, W in enumerate(self._p_poly(X, y)):
-                    _lacc(acc, i + m + 1, W, Fraction(s, m + 1))
+                    _lacc(acc, i + m + 1, W,
+                          _weight(self.pres.field, s, m + 1))
 
     def _expand_into(self, acc: list, x: TPoly, coeffs: list, s: int) -> None:
         """Add s * sum_{m,k} C(m,k) lambda^(m-k) N(T^k x, X_m) into acc."""
@@ -280,7 +285,8 @@ class Engine:
         for n, Y in enumerate(coeffs):
             if Y:
                 for m, W in enumerate(self._p_poly(x, Y)):
-                    _lacc(acc, n + m + 1, W, s * _beta(n, m))
+                    _lacc(acc, n + m + 1, W, _weight(
+                        self.pres.field, s, _beta(n, m).denominator))
 
     def _jac_mono(self, A: TMono, B: TMono, C: TMono) -> dict:
         pres = self.pres
@@ -389,6 +395,18 @@ def _store(limit: int | None, memo: dict, key, val, *shared: dict) -> None:
     memo[key] = val
 
 
+# Bound on the weights _weight keeps converted, least recently used out
+# first; the benchmark's reduce_deep meets about 240 distinct ones.
+WEIGHT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def _weight(fld, p: int, q: int):
+    """p/q as a Scalar of fld, converted once per (fld, p, q): the one home
+    of the closed forms' exact rational weights."""
+    return fld.convert(Fraction(p, q))
+
+
 def _lacc(acc: list, m: int, x: TPoly, s=None) -> None:
     """Add s*x into the lambda^m slot of a list of owned term dicts."""
     while len(acc) <= m:
@@ -406,6 +424,7 @@ def _int_minus_T(pres: Presentation, coeffs: list) -> TPoly:
     """sum_m (-1)^m T^{m+1}(X_m)/(m+1): the bracket integral over [-T, 0]."""
     out: dict = {}
     for m, X in enumerate(coeffs):
-        if X:
-            _add_scaled(out, apply_T(X, m + 1), Fraction((-1) ** m, m + 1))
+        img = apply_T(X, m + 1)
+        if img:
+            _add_scaled(out, img, _weight(pres.field, (-1) ** m, m + 1))
     return TPoly(pres, out)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
-from .calculus import Engine, _store
+from .calculus import Engine, _store, _weight
 from .scalars import _fmt_int, _fmt_q
 
 # Bound on floor(L * max_weight), the length of character's table of counts
@@ -84,14 +84,17 @@ class Reducer:
             return hit
         # Follow the swap chain E -> swapped -> ... in a loop, reducing each
         # correction as it comes, until an ordered word, an odd repeat or a
-        # memo hit; then fill the memo backwards along the chain.
+        # memo hit; then fill the memo backwards along the chain.  The keys
+        # of the word's factors are built once and exchanged with them.
         pres = self.pres
         one = pres.field.one
+        bits = pres.gen_parity
         eng = self.engine
+        keys = [pres.rgen_key(rg) for rg in E]
         chain = []  # (word, sign, sigma(correction) or None when it is 0)
         start = 0
         while True:
-            pos = _leftmost_inversion(pres, E, start)
+            pos = _leftmost_inversion(pres, E, keys, start)
             if pos is None:
                 out = TPoly(pres, {E: one})
                 break
@@ -102,18 +105,20 @@ class Reducer:
             if ab:
                 corr = TPoly(pres, {prefix: one}).tensor(
                     eng.nprod(ab, TPoly(pres, {suffix: one})))
-            if pres.rgen_key(a) <= pres.rgen_key(b):
+            if keys[pos] <= keys[pos + 1]:
                 # adjacent repeat of an odd generator
                 self._monitor(E, corr)
                 out = TPoly(pres)
                 if corr:
-                    out = self.normal_order(corr).scale(Fraction(1, 2))
+                    out = self.normal_order(corr).scale(
+                        _weight(pres.field, 1, 2))
                 break
             swapped = prefix + (b, a) + suffix
             self._monitor(E, corr, swapped, pos)
-            chain.append((E, pres.parity_sign((a,), (b,)),
+            chain.append((E, -1 if bits[a.gen] and bits[b.gen] else 1,
                           self.normal_order(corr) if corr else None))
             E = swapped
+            keys[pos], keys[pos + 1] = keys[pos + 1], keys[pos]
             out = self._memo.get(E)
             if out is not None:
                 break
@@ -134,39 +139,54 @@ class Reducer:
     def _monitor(self, E: TMono, corr: TPoly, swapped: TMono | None = None,
                  pos: int | None = None) -> None:
         """Check one rewrite of E: its correction, and for a swap of the
-        pair at pos into the word swapped, the swap itself.  A swap changes
-        the relative order of that pair only, so it lowers the inversion
-        count by exactly one iff the pair's keys are strictly descending."""
+        pair at pos into the word swapped, the swap itself, in O(1).  _no
+        copies the rest of swapped from E, so when swapped has E's length
+        and the pair exchanged, the degree is unchanged, and the inversion
+        count drops by exactly one iff the pair's keys strictly descend.
+        Any other word is recounted in full.  The degrees are summed only
+        when the correction has terms."""
         self.descent_checks += 1
         pres = self.pres
-        dE = pres.mono_units(E)
         if swapped is not None:
-            if pres.mono_units(swapped) != dE:
+            a, b = E[pos], E[pos + 1]
+            if (len(swapped) == len(E) and swapped[pos] == b
+                    and swapped[pos + 1] == a):
+                kept = True
+                lowered = pres.rgen_key(b) < pres.rgen_key(a)
+            else:
+                kept = pres.mono_units(swapped) == pres.mono_units(E)
+                lowered = (inversions(pres, swapped)
+                           == inversions(pres, E) - 1)
+            if not kept:
                 raise PBWError("swap changed the degree of %s"
                                % (render_tmono(pres, E),))
-            if not pres.rgen_key(E[pos + 1]) < pres.rgen_key(E[pos]):
+            if not lowered:
                 raise PBWError("swap did not lower the inversion count of %s"
                                % (render_tmono(pres, E),))
-        for mono in corr.terms:
-            if not pres.mono_units(mono) < dE:
-                raise PBWError(
-                    "correction term %s does not drop the degree below %s"
-                    % (render_tmono(pres, mono), pres.mono_degree(E)))
+        if corr.terms:
+            dE = pres.mono_units(E)
+            for mono in corr.terms:
+                if not pres.mono_units(mono) < dE:
+                    raise PBWError(
+                        "correction term %s does not drop the degree below %s"
+                        % (render_tmono(pres, mono), pres.mono_degree(E)))
 
 
-def _leftmost_inversion(pres: Presentation, E: TMono,
+def _leftmost_inversion(pres: Presentation, E: TMono, keys: list,
                         start: int = 0) -> int | None:
-    """The first position p >= start where E[p], E[p+1] violate the order."""
-    key, bits = pres.rgen_key, pres.gen_parity
+    """The first position p >= start where E[p], E[p+1] violate the order,
+    read from keys, the keys of E's factors."""
+    bits = pres.gen_parity
     for p in range(start, len(E) - 1):
-        ka, kb = key(E[p]), key(E[p + 1])
+        ka, kb = keys[p], keys[p + 1]
         if ka > kb or (ka == kb and bits[E[p][0]]):
             return p
     return None
 
 
 def is_normally_ordered(pres: Presentation, mono: TMono) -> bool:
-    return _leftmost_inversion(pres, mono) is None
+    return _leftmost_inversion(
+        pres, mono, [pres.rgen_key(rg) for rg in mono]) is None
 
 
 def _require_positive_weights(pres: Presentation, what: str) -> None:

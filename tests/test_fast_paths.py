@@ -1,8 +1,9 @@
 """Differential tests: each exact shortcut against the plain path.
 
 Scalar products with ±1, and sums and products where one operand is a
-constant or both are polynomials, skip sympy's cancel; generator metadata
-is kept in integer units (ranks, degree and weight units, parity bits).
+constant or both are polynomials, skip sympy's cancel; the closed forms'
+rational weights are converted once per field; generator metadata is
+kept in integer units (ranks, degree and weight units, parity bits).
 Each must give the very value, rendering and hash of the plain
 computation, and every check built on the integer units must still fire,
 with the same message.
@@ -17,11 +18,12 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
 from nlca.algebra import AlgebraError, Presentation, RGen, apply_T
-from nlca.calculus import CalculusError, Engine
-from nlca.frontend import parse_source
+from nlca.calculus import CalculusError, Engine, _weight
+from nlca.frontend import load_bundled, parse_source
 from nlca.pbw import PBWError, Reducer, inversions
 from nlca.scalars import Scalar, scalar_field
 
+from builders import bundled_names
 from randgen import random_coeff
 
 FIELDS = ((), ("c",), ("a", "b"))
@@ -207,6 +209,29 @@ def test_no_cancel_with_a_constant_or_two_polynomials(monkeypatch):
     assert cancels(constants, constants[::-1]) > 0
     assert cancels(kinds["rational function"],
                    kinds["rational function"][::-1]) > 0
+
+
+# -- closed-form weights, converted once per field ----------------------------
+
+def test_weights_match_plain_conversion():
+    rng = random.Random(53)
+    fields = {load_bundled(name).field for name in bundled_names()}
+    assert len(fields) > 2
+    for fld in fields:
+        pairs = [(1, 1), (-1, 1), (2, -2), (0, 5), (1, 2), (-3, 6)]
+        for _ in range(200):
+            p, q = (rng.randrange(lo, 10 ** rng.randrange(1, 12))
+                    for lo in (0, 1))
+            pairs.append((rng.choice((-1, 1)) * p, rng.choice((-1, 1)) * q))
+        for p, q in pairs:
+            want = fld.convert(Fraction(p, q))
+            got = _weight(fld, p, q)
+            assert got == want and str(got) == str(want), (fld, p, q)
+            assert hash(got) == hash(want)
+            assert _weight(fld, p, q) is got
+        # ±1 keep the cached backing elements the product shortcuts test for
+        assert _weight(fld, 3, 3).raw is fld.one.raw
+        assert _weight(fld, 2, -2).raw is fld.minus_one.raw
 
 
 # -- generator metadata in integer units -------------------------------------

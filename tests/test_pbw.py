@@ -9,7 +9,7 @@ import pytest
 from nlca.algebra import Presentation, TPoly
 from nlca.algebra import render_tpoly
 from nlca.calculus import Engine
-from nlca.frontend import load_bundled
+from nlca.frontend import load_bundled, parse_source
 from nlca.pbw import (MAX_WEIGHT_UNITS, PBWError, Reducer, WeightLimitError,
                       character, enumerate_basis, inversions,
                       is_normally_ordered)
@@ -215,6 +215,48 @@ def test_reversed_free_boson_word_builds_each_commutator_once(free_boson):
     assert e.stats["lie_hits"] == 780 == len(e._liememo)
 
 
+def test_swap_chain_sums_no_degrees(free_boson, monkeypatch):
+    # a swap is checked from its pair alone, and a zero correction has no
+    # degrees to compare, so the reversed word sums none
+    p = free_boson
+    word = p.mono(*(("a", n) for n in range(39, -1, -1)))
+    calls = []
+    units = Presentation.mono_units
+
+    def counted(self, mono):
+        calls.append(mono)
+        return units(self, mono)
+    monkeypatch.setattr(Presentation, "mono_units", counted)
+    red = Reducer(Engine(p))
+    assert red.normal_order(p.poly({word: 1})) == \
+        p.poly({tuple(reversed(word)): 1})
+    assert red.descent_checks == 780
+    assert calls == []
+
+
+def test_every_monitor_message_is_reachable(virasoro):
+    p = virasoro
+    red = Reducer(Engine(p))
+    L, L1, L2 = p.mono("L", ("L", 1), ("L", 2))
+    zero = p.zero()
+    red._monitor((L1, L), zero, (L, L1), 0)  # an exchange that descends
+    red._monitor((L1, L), zero, (L, L2), 0)  # recounted: one fewer inversion
+    cases = [
+        ((L1, L), zero, (L,), "swap changed the degree of :T L L:"),
+        ((L, L1), zero, (L1, L),
+         "swap did not lower the inversion count of :L T L:"),
+        ((L1, L), zero, (L2, L),
+         "swap did not lower the inversion count of :T L L:"),
+        ((L1, L), p.poly({(L, L, L): 1}), (L, L1),
+         "correction term :L L L: does not drop the degree below 4"),
+    ]
+    for E, corr, swapped, message in cases:
+        with pytest.raises(PBWError) as info:
+            red._monitor(E, corr, swapped, 0)
+        assert str(info.value) == message
+    assert red.descent_checks == 2 + len(cases)
+
+
 # -- the kernel of sigma -----------------------------------------------------
 
 def test_sigma_kills_m_elements(presentations, engines, reducers):
@@ -286,6 +328,26 @@ def test_normal_form_is_strategy_independent(presentations, engines, reducers):
         for _ in range(6):
             x = random_tensor(p, rng, 2, 3)
             assert _random_strategy_reduce(e, rng, x) == red.normal_order(x)
+
+
+# an odd generator whose repeat has a nonzero commutator: lie(G, G) = T L
+ODD_SQUARE = """
+generator L parity=even degree=1;
+generator G parity=odd degree=1;
+bracket [G,G] = L;
+"""
+
+
+def test_odd_repeat_takes_half_the_commutator():
+    p = parse_source(ODD_SQUARE)
+    e = Engine(p)
+    red = Reducer(e)
+    assert red.normal_order(p.poly({p.mono("G", "G"): 1})) == \
+        p.poly({p.mono(("L", 1)): Fraction(1, 2)})
+    rng = random.Random(19)
+    for _ in range(6):
+        x = p.poly({tuple(random_rgen(p, rng) for _ in range(5)): 1})
+        assert _random_strategy_reduce(e, rng, x) == red.normal_order(x)
 
 
 # -- the descent monitor -----------------------------------------------------
