@@ -101,7 +101,8 @@ def solve_and_substitute(pres: Presentation, system: LinearSystem,
 
     pin = (unknown name, value); the value may be an int, Fraction, Scalar
     over Q(params), or a string in the scalar grammar of the file format
-    (a bad one raises ParseError with `<pin>` locations).
+    (a bad one raises ParseError with `<pin>` locations).  A zero value is
+    refused, as it selects the zero solution.
     """
     name, val = pin
     if name not in system.unknowns:
@@ -113,6 +114,9 @@ def solve_and_substitute(pres: Presentation, system: LinearSystem,
         val = target.convert(val)
     else:
         raise AnsatzError("cannot interpret pin value %r" % (val,))
+    if val.is_zero:
+        raise AnsatzError("pinning %s to 0 gives only the zero solution"
+                          % (name,))
     if not system.is_homogeneous():
         raise AnsatzError("system has inhomogeneous rows")
     basis = nullspace(system)

@@ -9,22 +9,25 @@ _wl_rest and _wr_rest add each right side, times 1 in the recursion and
 times -1 in the defect kernels.  All defects land in the ideal generated
 by m_element instances and so vanish after normal ordering.
 
-N and P are memoized per presentation at the monomial level, except the
-concatenations N(1, B), N(A, 1) and N(a, B), neither stored nor counted in
-stats.  A lambda-polynomial is a dense list of TPoly coefficients indexed
-by the lambda-power, the shape Presentation.bracket_r returns; sums are
-built in place in term dicts the caller owns, never in a memoized TPoly.
-Only the public methods wrap a result in an LPoly, to name its variable.
-A third memo holds the commutator lie(a, b), the integral of [a_lambda b]
-over [-T, 0], of each pair of T^n-generators in closed form (_lie); the
-PBW swap step reads it.  The closed forms' rational weights (1/(m+1),
-Beta values) are converted to scalars once per field (_weight).  Every
-memoized entry is verified against the degree bounds deg N(A,B) <= deg A
-+ deg B and deg P(A,B), deg lie(a,b) < deg A + deg B.
+An Engine keeps one memo, a dict of tagged keys: ("n", A, B) holds N(A, B)
+and ("p", A, B) holds P(A, B) for monomials A, B, except the concatenations
+N(1, B), N(A, 1) and N(a, B), neither stored nor counted in stats;
+("lie", a, b) holds the commutator lie(a, b), the integral of [a_lambda b]
+over [-T, 0], of two T^n-generators in closed form (_lie), which the PBW
+swap step reads; and ("no", E) holds the normal form of the word E that a
+pbw.Reducer built on the Engine computed.  A lambda-polynomial is a dense
+list of TPoly coefficients indexed by the lambda-power, the shape
+Presentation.bracket_r returns; sums are built in place in term dicts the
+caller owns, never in a memoized entry.  Only the public methods wrap a
+result in an LPoly, to name its variable.  The closed forms' rational
+weights (1/(m+1), Beta values) are converted to scalars once per field
+(_weight).  Each new N, P or lie entry is checked against its degree bound,
+deg N(A,B) <= deg A + deg B and deg P(A,B), deg lie(a,b) < deg A + deg B,
+before _keep stores it.
 
 NLCA_CACHE_LIMIT, if set and not empty, is a non-negative integer: an
-Engine wipes its three memos when their entries together reach it, and a
-Reducer wipes its memo likewise, by the same rule (_store).
+Engine wipes its whole memo when it holds that many entries and one more
+is to be stored.
 """
 
 from __future__ import annotations
@@ -63,9 +66,7 @@ class Engine:
         self.pres = pres
         pres.frozen = True
         self.cache_limit = _cache_limit()
-        self._nmemo: dict = {}
-        self._pmemo: dict = {}
-        self._liememo: dict = {}
+        self._memo: dict = {}
         self.stats = {"n_calls": 0, "p_calls": 0, "lie_calls": 0,
                       "n_hits": 0, "p_hits": 0, "lie_hits": 0}
 
@@ -167,28 +168,21 @@ class Engine:
         if len(A) <= 1 or not B:
             return self._mono(A + B)
         self.stats["n_calls"] += 1
-        hit = self._nmemo.get((A, B))
+        key = ("n", A, B)
+        hit = self._memo.get(key)
         if hit is not None:
             self.stats["n_hits"] += 1
             return hit
         pres = self.pres
         d: dict = {}
         self._q_rest(d, A[:1], A[1:], B, 1)
-        out = TPoly(pres, d)
-        bound = pres.mono_units(A) + pres.mono_units(B)
-        for mono in out.terms:
-            if not pres.mono_units(mono) <= bound:
-                raise CalculusError(
-                    "degree bound broken: N(%s, %s) contains %s"
-                    % (render_tmono(pres, A), render_tmono(pres, B),
-                       render_tmono(pres, mono)))
-        _store(self.cache_limit, self._nmemo, (A, B), out, self._pmemo,
-               self._liememo)
-        return out
+        return self._keep(key, TPoly(pres, d), d, pres.mono_units(A)
+                          + pres.mono_units(B) + 1)
 
     def _p(self, A: TMono, B: TMono) -> list[TPoly]:
         self.stats["p_calls"] += 1
-        hit = self._pmemo.get((A, B))
+        key = ("p", A, B)
+        hit = self._memo.get(key)
         if hit is not None:
             self.stats["p_hits"] += 1
             return hit
@@ -204,17 +198,8 @@ class Engine:
             else:
                 self._wr_rest(acc, A[:1], A[1:], B, 1)
             out = _coeff_list(pres, acc)
-        bound = pres.mono_units(A) + pres.mono_units(B)
-        for X in out:
-            for mono in X.terms:
-                if not pres.mono_units(mono) < bound:
-                    raise CalculusError(
-                        "degree bound broken: P(%s, %s) contains %s"
-                        % (render_tmono(pres, A), render_tmono(pres, B),
-                           render_tmono(pres, mono)))
-        _store(self.cache_limit, self._pmemo, (A, B), out, self._nmemo,
-               self._liememo)
-        return out
+        return self._keep(key, out, (m for X in out for m in X.terms),
+                          pres.mono_units(A) + pres.mono_units(B))
 
     def _lie(self, a: RGen, b: RGen) -> TPoly:
         """lie(T^m x, T^n y) = sum_k (-1)^k B(m+k+1, n+1) T^(m+n+k+1) X_k,
@@ -223,7 +208,8 @@ class Engine:
         by int_{-T}^0 lambda^p = (-1)^p T^(p+1)/(p+1) and
         sum_j C(n,j) (-1)^j / (a+j) = B(a, n+1)."""
         self.stats["lie_calls"] += 1
-        hit = self._liememo.get((a, b))
+        key = ("lie", a, b)
+        hit = self._memo.get(key)
         if hit is not None:
             self.stats["lie_hits"] += 1
             return hit
@@ -235,20 +221,34 @@ class Engine:
             if img:
                 _add_scaled(d, img, _weight(
                     pres.field, (-1) ** k, _beta(m + k, n).denominator))
-        out = TPoly(pres, d)
-        bound = pres.gen_units[a.gen] + pres.gen_units[b.gen]
-        for mono in d:
+        # gen_units, not mono_units: a zero commutator sums no degrees
+        return self._keep(key, TPoly(pres, d), d, pres.gen_units[a.gen]
+                          + pres.gen_units[b.gen])
+
+    def _keep(self, key: tuple, out, monos=(), bound: int = 0):
+        """Store out, a new memo entry, under key and return it.  Every
+        monomial in monos must lie strictly below bound (the degree bound
+        of an N entry is passed plus one, as it may be reached).  When the
+        memo holds cache_limit entries it is wiped first."""
+        pres = self.pres
+        for mono in monos:
             if not pres.mono_units(mono) < bound:
+                tag, A, B = key
+                if tag == "lie":
+                    A, B = (A,), (B,)
                 raise CalculusError(
-                    "degree bound broken: lie(%s, %s) contains %s"
-                    % (render_tmono(pres, (a,)), render_tmono(pres, (b,)),
+                    "degree bound broken: %s(%s, %s) contains %s"
+                    % ("lie" if tag == "lie" else tag.upper(),
+                       render_tmono(pres, A), render_tmono(pres, B),
                        render_tmono(pres, mono)))
-        _store(self.cache_limit, self._liememo, (a, b), out, self._nmemo,
-               self._pmemo)
+        memo = self._memo
+        if self.cache_limit is not None and len(memo) >= self.cache_limit:
+            memo.clear()
+        memo[key] = out
         return out
 
     def _lie_mono(self, A: TMono, B: TMono) -> TPoly:
-        """lie of two monomials, from the _lie memo for single factors."""
+        """lie of two monomials, by the closed form _lie for single factors."""
         if len(A) == 1 and len(B) == 1:
             return self._lie(A[0], B[0])
         return _int_minus_T(self.pres, self._p(A, B))
@@ -383,16 +383,6 @@ class Engine:
         self._expand_into(acc, self._mono(A), self._p(B, C), s)
         self._expand_into(acc, B_poly, pAC, s * sign)
         self._beta_into(acc, B_poly, pAC, s * sign)
-
-
-def _store(limit: int | None, memo: dict, key, val, *shared: dict) -> None:
-    """memo[key] = val, first wiping memo and the memos it shares the
-    limit with when their entries together reach it; None is no limit."""
-    if limit is not None and len(memo) + sum(map(len, shared)) >= limit:
-        memo.clear()
-        for m in shared:
-            m.clear()
-    memo[key] = val
 
 
 # Bound on the weights _weight keeps converted, least recently used out

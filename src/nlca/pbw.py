@@ -6,11 +6,13 @@ repeats adjacently.  The reduction rewrites the leftmost violation: an
 out-of-order adjacent pair (a, b) becomes the Koszul-signed swap plus the
 correction  prefix (x) N(lie(a, b), suffix);  an adjacent repeat of an odd
 generator a becomes  (1/2) prefix (x) N(lie(a, a), suffix).  lie(a, b) is
-read from the Engine's memo of generator-pair commutators; a zero one (as
-every free-field one is) gives no correction to build or reduce.  After a
-swap at p the search for the next violation resumes at p - 1.  Rewrites
-strictly descend in (degree, inversion count), which a monitor checks on
-every rewrite.
+read through the Engine's memo; a zero one (as every free-field one is)
+gives no correction to build or reduce.  After a swap at p the search for
+the next violation resumes at p - 1.  Rewrites strictly descend in
+(degree, inversion count), which a monitor checks on every rewrite.  The
+normal form of each word asked for is stored in the Engine's memo under
+("no", word), and a walk down a swap chain stops at any word stored
+there: a stored normal form is what the walk from that word would build.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
-from .calculus import Engine, _store, _weight
+from .calculus import Engine, _weight
 from .scalars import _fmt_int, _fmt_q
 
 # Bound on floor(L * max_weight), the length of character's table of counts
@@ -60,13 +62,13 @@ def inversions(pres: Presentation, mono: TMono) -> int:
 
 
 class Reducer:
-    """Normal-ordering map sigma for one presentation, memoized; the memo
-    is wiped when it reaches the engine's cache_limit (NLCA_CACHE_LIMIT)."""
+    """Normal-ordering map sigma for one presentation.  It keeps no memo of
+    its own: the normal form of each word it is asked for goes into its
+    Engine's memo, which every Reducer on that Engine reads."""
 
     def __init__(self, engine: Engine):
         self.engine = engine
         self.pres = engine.pres
-        self._memo: dict[TMono, TPoly] = {}
         self.descent_checks = 0
 
     def normal_order(self, x: TPoly) -> TPoly:
@@ -79,27 +81,31 @@ class Reducer:
         return p.map_coeffs(self.normal_order)
 
     def _no(self, E: TMono) -> TPoly:
-        hit = self._memo.get(E)
+        eng = self.engine
+        memo = eng._memo
+        key = ("no", E)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        # Follow the swap chain E -> swapped -> ... in a loop, reducing each
-        # correction as it comes, until an ordered word, an odd repeat or a
-        # memo hit; then fill the memo backwards along the chain.  The keys
-        # of the word's factors are built once and exchanged with them.
+        # Walk the swap chain E -> swapped -> ... forward, adding the normal
+        # form of each correction times the running Koszul sign, until an
+        # ordered word, an odd repeat or a word whose normal form is stored.
+        # The keys of the word's factors are built once and exchanged with
+        # them.
         pres = self.pres
         one = pres.field.one
         bits = pres.gen_parity
-        eng = self.engine
         keys = [pres.rgen_key(rg) for rg in E]
-        chain = []  # (word, sign, sigma(correction) or None when it is 0)
-        start = 0
+        out: dict = {}
+        sign = 1
+        W, start = E, 0
         while True:
-            pos = _leftmost_inversion(pres, E, keys, start)
+            pos = _leftmost_inversion(pres, W, keys, start)
             if pos is None:
-                out = TPoly(pres, {E: one})
+                out[W] = one * sign  # the corrections have lower degree
                 break
-            a, b = E[pos], E[pos + 1]
-            prefix, suffix = E[:pos], E[pos + 2:]
+            a, b = W[pos], W[pos + 1]
+            prefix, suffix = W[:pos], W[pos + 2:]
             ab = eng._lie(a, b)
             corr = TPoly(pres)
             if ab:
@@ -107,34 +113,26 @@ class Reducer:
                     eng.nprod(ab, TPoly(pres, {suffix: one})))
             if keys[pos] <= keys[pos + 1]:
                 # adjacent repeat of an odd generator
-                self._monitor(E, corr)
-                out = TPoly(pres)
+                self._monitor(W, corr)
                 if corr:
-                    out = self.normal_order(corr).scale(
-                        _weight(pres.field, 1, 2))
+                    _add_scaled(out, self.normal_order(corr),
+                                _weight(pres.field, sign, 2))
                 break
             swapped = prefix + (b, a) + suffix
-            self._monitor(E, corr, swapped, pos)
-            chain.append((E, -1 if bits[a.gen] and bits[b.gen] else 1,
-                          self.normal_order(corr) if corr else None))
-            E = swapped
+            self._monitor(W, corr, swapped, pos)
+            if corr:
+                _add_scaled(out, self.normal_order(corr), sign)
+            if bits[a.gen] and bits[b.gen]:
+                sign = -sign
+            W = swapped
             keys[pos], keys[pos + 1] = keys[pos + 1], keys[pos]
-            out = self._memo.get(E)
-            if out is not None:
+            hit = memo.get(("no", W))
+            if hit is not None:
+                _add_scaled(out, hit, sign)
                 break
             # the pairs left of pos - 1 are unchanged, and were ordered
             start = max(pos - 1, 0)
-        limit = eng.cache_limit
-        _store(limit, self._memo, E, out)
-        for word, sign, head in reversed(chain):
-            if head is None:
-                # entries are never mutated, so the chain may share one
-                out = out if sign == 1 else -out
-            else:
-                _add_scaled(head.terms, out, sign)
-                out = head
-            _store(limit, self._memo, word, out)
-        return out
+        return eng._keep(key, TPoly(pres, out))
 
     def _monitor(self, E: TMono, corr: TPoly, swapped: TMono | None = None,
                  pos: int | None = None) -> None:

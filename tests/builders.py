@@ -129,3 +129,10 @@ def degree(x):
 def weights(x):
     """The set of conformal weights of the monomials of x."""
     return {x.pres.mono_weight(m) for m in x.terms}
+
+
+def memo_terms(memo):
+    """A copy of the terms of each entry of an Engine's memo, by key: a P
+    entry is a list of TPolys, every other entry a TPoly."""
+    return {k: [dict(X.terms) for X in v] if isinstance(v, list)
+            else dict(v.terms) for k, v in memo.items()}

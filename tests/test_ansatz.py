@@ -98,6 +98,10 @@ def test_pin_errors(w3_ansatz, wwl_system):
         solve_and_substitute(w3_ansatz, wwl_system, ("delta", None))
     with pytest.raises(ParseError):
         solve_and_substitute(w3_ansatz, wwl_system, ("delta", "c +"))
+    # a zero pin would scale the solution line to the zero table
+    for zero in (0, Fraction(0), "c - c"):
+        with pytest.raises(AnsatzError, match="pinning delta to 0"):
+            solve_and_substitute(w3_ansatz, wwl_system, ("delta", zero))
 
 
 def test_cubic_triple_raises_by_default(w3_ansatz):

@@ -12,7 +12,7 @@ from nlca.calculus import CalculusError, Engine, _beta, _int_minus_T
 from nlca.formal import LPoly
 from nlca.frontend import load_bundled
 
-from builders import bundled_names, degree, weights
+from builders import bundled_names, degree, memo_terms, weights
 from conftest import CONCRETE
 from randgen import random_coeff, random_mono, random_single, random_tensor
 
@@ -283,9 +283,8 @@ def test_memo_entries_unchanged_by_reuse(presentations):
         e.nprod(x, y)
         e.pbracket(x, y)
         e.lie(a + b, b)
-        n_snap = {k: dict(v.terms) for k, v in e._nmemo.items()}
-        p_snap = {k: [dict(X.terms) for X in v] for k, v in e._pmemo.items()}
-        lie_snap = {k: dict(v.terms) for k, v in e._liememo.items()}
+        snap = memo_terms(e._memo)
+        assert {k[0] for k in snap} == {"n", "p", "lie"}
         for _ in range(3):
             e.nprod(x, y)
             e.nprod(x + y, y)
@@ -296,12 +295,9 @@ def test_memo_entries_unchanged_by_reuse(presentations):
             e.structure_defect("sn", a, b + a, y)
         assert e.stats["n_hits"] > 0 and e.stats["p_hits"] > 0
         assert e.stats["lie_hits"] > 0
-        for k, terms in n_snap.items():
-            assert e._nmemo[k].terms == terms
-        for k, lst in p_snap.items():
-            assert [X.terms for X in e._pmemo[k]] == lst
-        for k, terms in lie_snap.items():
-            assert e._liememo[k].terms == terms
+        now = memo_terms(e._memo)
+        for k, terms in snap.items():
+            assert now[k] == terms
 
 
 def test_bilinearity(presentations, engines):
@@ -379,4 +375,4 @@ def test_lie_closed_form_matches_the_integral():
             assert got == want, (p.name, a, b)
             assert render_tpoly(got) == render_tpoly(want)
             assert e.lie(TPoly(p, {(a,): one}), TPoly(p, {(b,): one})) == want
-        assert len(e._liememo) == len(rgens) ** 2
+        assert sum(k[0] == "lie" for k in e._memo) == len(rgens) ** 2

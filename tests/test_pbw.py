@@ -14,7 +14,7 @@ from nlca.pbw import (MAX_WEIGHT_UNITS, PBWError, Reducer, WeightLimitError,
                       character, enumerate_basis, inversions,
                       is_normally_ordered)
 
-from builders import bundled_names
+from builders import bundled_names, memo_terms
 from conftest import CONCRETE
 from randgen import random_mono, random_rgen, random_tensor
 
@@ -141,78 +141,78 @@ def test_reduce_fermion_word_to_signed_sorted_word(free_fermion):
         assert got == p.poly({tuple(sorted(word)): sign})
 
 
-class _SizeLog(dict):
-    """A memo that records the most entries it ever held."""
-    most = 0
+class _StoreLog(dict):
+    """An Engine's memo that counts its stores by key tag and its wipes,
+    and records the most entries it ever held."""
+    wipes = most = 0
+
+    def __init__(self):
+        super().__init__()
+        self.stores = {}
 
     def __setitem__(self, key, val):
         super().__setitem__(key, val)
+        self.stores[key[0]] = self.stores.get(key[0], 0) + 1
         self.most = max(self.most, len(self))
-
-
-def test_cache_limit_caps_the_reducer_memo(free_boson, monkeypatch):
-    # the reversed word fills the memo along a swap chain of 820 words
-    p = free_boson
-    x = p.poly({p.mono(*(("a", n) for n in range(40, -1, -1))): 1})
-    want = Reducer(Engine(p)).normal_order(x)
-    monkeypatch.setenv("NLCA_CACHE_LIMIT", "50")
-    red = Reducer(Engine(p))
-    red._memo = _SizeLog()
-    assert red.normal_order(x) == want
-    assert 0 < red._memo.most <= 50
-
-
-class _GroupLog(dict):
-    """One of an Engine's memos: counts its stores and wipes, and records
-    the most entries its group of memos held together."""
-    stores = wipes = most = 0
-    group = ()
-
-    def __setitem__(self, key, val):
-        super().__setitem__(key, val)
-        self.stores += 1
-        self.most = max(self.most, sum(map(len, self.group)))
 
     def clear(self):
         self.wipes += 1
         super().clear()
 
 
-def test_cache_limit_wipes_the_engine_memos_together(w3, monkeypatch):
-    # the swaps fill the commutator memo, the corrections N(lie(W, W), ...)
-    # the N and P memos
+def _w3_word(p):
+    # the swaps fill the store with commutators, the corrections
+    # N(lie(W, W), ...) with N and P entries and their normal forms with
+    # more: 112 entries without a limit
+    return p.poly({p.mono(("W", 1), "W", "L", "W"): 1})
+
+
+def test_cache_limit_caps_the_reducer_memo(w3, monkeypatch):
     p = w3
-    x = p.poly({p.mono(("W", 1), "W", "L", "W"): 1})
+    x = _w3_word(p)
+    want = Reducer(Engine(p)).normal_order(x)
+    monkeypatch.setenv("NLCA_CACHE_LIMIT", "50")
+    e = Engine(p)
+    e._memo = _StoreLog()
+    assert Reducer(e).normal_order(x) == want
+    assert 0 < e._memo.most <= 50
+    assert e._memo.wipes > 0
+
+
+def test_cache_limit_wipes_the_engine_memos_together(w3, monkeypatch):
+    # N, P, lie and the normal forms share the one store and its limit
+    p = w3
+    x = _w3_word(p)
     want = Reducer(Engine(p)).normal_order(x)
     monkeypatch.setenv("NLCA_CACHE_LIMIT", "12")
     e = Engine(p)
-    memos = [_GroupLog() for _ in range(3)]
-    e._nmemo, e._pmemo, e._liememo = memos
-    for m in memos:
-        m.group = memos
+    e._memo = _StoreLog()
     assert Reducer(e).normal_order(x) == want
-    assert all(m.stores > 0 for m in memos)
-    wipes = {m.wipes for m in memos}
-    assert len(wipes) == 1 and wipes.pop() > 0
-    assert max(m.most for m in memos) <= 12
+    assert set(e._memo.stores) == {"n", "p", "lie", "no"}
+    assert e._memo.wipes > 0
+    assert e._memo.most <= 12
 
 
 def test_reversed_free_boson_word_builds_each_commutator_once(free_boson):
     # every free-boson commutator is 0, so no swap builds a correction or
     # reaches the P memo; the chain swaps each of the 780 inverted pairs
-    # once, and a second Reducer on the same Engine builds none again
+    # once and stores one normal form, which a second Reducer on the same
+    # Engine reads without a rewrite
     p = free_boson
     word = p.mono(*(("a", n) for n in range(39, -1, -1)))
     x = p.poly({word: 1})
+    want = p.poly({tuple(reversed(word)): 1})
     e = Engine(p)
-    for _ in range(2):
-        red = Reducer(e)
-        assert red.normal_order(x) == p.poly({tuple(reversed(word)): 1})
-        # one descent check per swap, one swap per inversion
-        assert red.descent_checks == inversions(p, word) == 780
+    red = Reducer(e)
+    assert red.normal_order(x) == want
+    # one descent check per swap, one swap per inversion
+    assert red.descent_checks == inversions(p, word) == 780
+    again = Reducer(e)
+    assert again.normal_order(x) == want
+    assert again.descent_checks == 0
     assert e.stats["p_calls"] == 0
-    assert e.stats["lie_calls"] == 2 * 780
-    assert e.stats["lie_hits"] == 780 == len(e._liememo)
+    assert e.stats["lie_calls"] == 780 and e.stats["lie_hits"] == 0
+    assert sorted(k[0] for k in e._memo) == ["lie"] * 780 + ["no"]
 
 
 def test_swap_chain_sums_no_degrees(free_boson, monkeypatch):
@@ -360,13 +360,15 @@ def test_memo_entries_unchanged_by_reuse(presentations):
         xs = [random_tensor(p, rng) for _ in range(3)]
         for x in xs:
             red.normal_order(x)
-        snap = {E: dict(v.terms) for E, v in red._memo.items()}
+        snap = memo_terms(red.engine._memo)
+        assert "no" in {k[0] for k in snap}
         for _ in range(2):
             for x in xs:
                 red.normal_order(x)
                 red.normal_order(x + x)
-        for E, terms in snap.items():
-            assert red._memo[E].terms == terms
+        now = memo_terms(red.engine._memo)
+        for k, terms in snap.items():
+            assert now[k] == terms
 
 
 def test_descent_monitor_counts(virasoro):
