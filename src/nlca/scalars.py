@@ -13,13 +13,17 @@ positive.  So structural equality of canonical forms is plain equality of
 the wrapped elements.  The representation stays private to this module;
 text is read by frontend.parse_scalar, in the grammar of the file format.
 
-sympy reaches the canonical form through `cancel`, a polynomial gcd.  Sums
-and products skip it where the gcd is known to be trivial: a product with
-±1; a nonzero constant with a non-constant operand; two polynomials (both
-denominators constant).  There only the integer contents are divided out.
-Differences are sums with the negation, which never cancels.  Constant by
-constant, rational function with rational function, division and powers
-still call `cancel`.
+Only constant by constant goes through sympy's own operators, which
+reach the canonical form with `cancel`, a polynomial gcd.  Every other
+sum, difference, product and quotient keeps the denominator factored
+over Q (Scalar._den, filled in by sympy's factor_list once for a
+denominator that enters from outside this arithmetic: parsing, a pin,
+affine_split, a nullspace pivot) and carries the factors forward.  For
+canonical operands, a common factor of the new numerator and denominator
+is one of those factors, so trial division by them, then by the integer
+contents, gives the canonical form with no gcd.  A product with ±1 is
+the other operand or its negation.  A quotient is a product with the
+inverse, whose denominator is the divisor's numerator, factored there.
 """
 
 from __future__ import annotations
@@ -71,14 +75,14 @@ class ScalarField:
         ret = _sympy_field(list(params), QQ, order=grlex)
         self._field = ret[0]
         self._gens = dict(zip(params, ret[1:]))
-        # ±1 are cached by identity: Scalar.__mul__ and __neg__ test for
-        # them with `is` and skip sympy's cancel
+        # ±1 are cached by identity: _product and _negate test for them
+        # with `is`
         one = self._field.one
         self._one, self._minus_one = one, -one
-        self._ints: dict[int, object] = {1: one, -1: self._minus_one}
-        self.zero = Scalar(self, self._field.zero)
-        self.one = Scalar(self, one)
-        self.minus_one = Scalar(self, self._minus_one)
+        self.zero = Scalar(self, self._field.zero, ())
+        self.one = Scalar(self, one, ())
+        self.minus_one = Scalar(self, self._minus_one, ())
+        self._ints: dict[int, Scalar] = {1: self.one, -1: self.minus_one}
 
     def __repr__(self):
         return "ScalarField(%s)" % (", ".join(self.params) or "Q")
@@ -89,43 +93,45 @@ class ScalarField:
         except KeyError:
             raise ScalarError("unknown parameter %r" % (name,)) from None
 
-    def _coerce_raw(self, x):
-        """The backing element for an int, Fraction or Scalar of this
-        field; None for any other type."""
+    def _coerce(self, x):
+        """x as a Scalar of this field, for an int, Fraction or Scalar of
+        this field; None for any other type."""
         if isinstance(x, Scalar):
             if x.field is not self:
                 raise ScalarError("Scalar from a different field")
-            return x.raw
+            return x
         if isinstance(x, int):
             # ints must become ground elements up front: sympy's zero fast
             # paths would otherwise leak bare ints into later arithmetic
-            r = self._ints.get(x)
-            if r is None:
-                r = self._field.ground_new(QQ(x))
+            s = self._ints.get(x)
+            if s is None:
+                s = Scalar(self, self._field.ground_new(QQ(x)), ())
                 if -64 <= x <= 64:
-                    self._ints[x] = r
-            return r
+                    self._ints[x] = s
+            return s
         if isinstance(x, Fraction):
             if x.denominator == 1:
-                return self._coerce_raw(x.numerator)
-            return self._field.ground_new(QQ(x.numerator, x.denominator))
+                return self._coerce(x.numerator)
+            return Scalar(self, self._field.ground_new(
+                QQ(x.numerator, x.denominator)), ())
         return None
 
     def convert(self, x) -> "Scalar":
-        r = self._coerce_raw(x)
-        if r is None:
+        s = self._coerce(x)
+        if s is None:
             raise ScalarError("cannot convert %r to a Scalar" % (x,))
-        return x if isinstance(x, Scalar) else Scalar(self, r)
+        return s
 
 
 class Scalar:
     """An element of a ScalarField, kept in reduced canonical form."""
 
-    __slots__ = ("field", "raw")
+    __slots__ = ("field", "raw", "_den")
 
-    def __init__(self, fld: ScalarField, raw):
+    def __init__(self, fld: ScalarField, raw, den=None):
         self.field = fld
         self.raw = raw
+        self._den = den  # raw.denom factored (see _factors), or None
 
     def __bool__(self):
         return bool(self.raw)
@@ -138,89 +144,54 @@ class Scalar:
         if isinstance(other, Scalar):
             return self.field is other.field and self.raw == other.raw
         if isinstance(other, (int, Fraction)):
-            return self.raw == self.field._coerce_raw(other)
+            return self.raw == self.field._coerce(other).raw
         return NotImplemented
 
     def __hash__(self):
         return hash(self.raw)
 
     def __add__(self, other):
-        fld = self.field
-        r = fld._coerce_raw(other)
-        if r is None:
-            return NotImplemented
-        return Scalar(fld, _sum(fld, self.raw, r))
+        y = self.field._coerce(other)
+        return NotImplemented if y is None else _sum(self, y, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        fld = self.field
-        r = fld._coerce_raw(other)
-        if r is None:
-            return NotImplemented
-        return Scalar(fld, _sum(fld, self.raw, r, -1))
+        y = self.field._coerce(other)
+        return NotImplemented if y is None else _sum(self, y, -1)
 
     def __rsub__(self, other):
-        fld = self.field
-        r = fld._coerce_raw(other)
-        if r is None:
-            return NotImplemented
-        return Scalar(fld, _sum(fld, r, self.raw, -1))
+        y = self.field._coerce(other)
+        return NotImplemented if y is None else _sum(y, self, -1)
 
     def __neg__(self):
-        fld = self.field
-        if self.raw is fld._one:
-            return fld.minus_one
-        if self.raw is fld._minus_one:
-            return fld.one
-        return Scalar(fld, -self.raw)
+        return _negate(self)
 
     def __mul__(self, other):
-        # a product with ±1 is the other operand or its negation, which
-        # is already reduced: neither needs sympy's cancel
-        fld = self.field
-        r = fld._coerce_raw(other)
-        if r is None:
-            return NotImplemented
-        a = self.raw
-        if r is fld._one:
-            return self
-        if r is fld._minus_one:
-            return -self
-        if a is fld._one:
-            return Scalar(fld, r)
-        if a is fld._minus_one:
-            return Scalar(fld, -r)
-        if _gcd_free(a, r):
-            return Scalar(fld, _lowest_terms(fld, a.numer * r.numer,
-                                             a.denom * r.denom))
-        return Scalar(fld, a * r)
+        y = self.field._coerce(other)
+        return NotImplemented if y is None else _product(self, y)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        r = self.field._coerce_raw(other)
-        if r is None:
-            return NotImplemented
-        try:
-            return Scalar(self.field, self.raw / r)
-        except ZeroDivisionError:
-            raise ScalarError("division by zero") from None
+        y = self.field._coerce(other)
+        return NotImplemented if y is None else _quotient(self, y)
 
     def __rtruediv__(self, other):
-        r = self.field._coerce_raw(other)
-        if r is None:
-            return NotImplemented
-        try:
-            return Scalar(self.field, r / self.raw)
-        except ZeroDivisionError:
-            raise ScalarError("division by zero") from None
+        y = self.field._coerce(other)
+        return NotImplemented if y is None else _quotient(y, self)
 
     def __pow__(self, n: int):
-        try:
-            return Scalar(self.field, self.raw ** n)
-        except ZeroDivisionError:
-            raise ScalarError("division by zero") from None
+        if n < 0:
+            return _quotient(self.field.one, self) ** -n
+        if not n:
+            return self.field.one
+        # sympy's square() caches a hash before it fills the square in:
+        # the copies hash afresh
+        raw, den = self.raw, self._den
+        return Scalar(self.field, self.field._field.raw_new(
+            (raw.numer ** n).copy(), (raw.denom ** n).copy()),
+            den and tuple((f, e * n) for f, e in den))
 
     def __str__(self):
         return _render(self.field, self.raw)
@@ -250,47 +221,182 @@ class Scalar:
         return len(self.raw.numer) + len(self.raw.denom)
 
 
-# -- sums and products without cancel ----------------------------------------
+# -- arithmetic by trial division ---------------------------------------------
 
-def _gcd_free(a, b) -> bool:
-    """Whether the numerator and denominator that a + b and a * b get from
-    the plain formulas are coprime over Q[params]: exactly one operand is a
-    constant, or both are polynomials and not both constants.  (A zero
-    constant gives a zero numerator, which _lowest_terms maps to zero.)"""
-    if a.denom.is_ground:
-        if b.denom.is_ground:
-            return not (a.numer.is_ground and b.numer.is_ground)
-        return a.numer.is_ground
-    return b.denom.is_ground and b.numer.is_ground
+def _is_constant(a) -> bool:
+    return a.numer.is_ground and a.denom.is_ground
 
 
-def _sum(fld, a, b, sign=1):
-    """The backing element of a + b, or of a - b for sign -1."""
+def _factors(x: Scalar) -> tuple:
+    """x's denominator as ((f, e), ...): its integer content times the
+    product of the f^e, each f irreducible, primitive over Z, with a
+    positive leading coefficient."""
+    if x._den is None:
+        d = x.raw.denom
+        x._den = () if d.is_ground else _factor(d)
+    return x._den
+
+
+def _factor(poly) -> tuple:
+    out = []
+    for f, e in poly.factor_list()[1]:
+        _, f = f.clear_denoms()
+        g = _content(f) * (1 if f.LC > 0 else -1)
+        # a fresh element: its cached hash is its own
+        out.append((poly.ring.from_dict({m: c / g for m, c in f.items()}), e))
+    return tuple(out)
+
+
+def _content(poly) -> int:
+    """The gcd of the coefficients of poly, which are integers."""
+    return gcd(*[c.numerator for c in poly.values()])
+
+
+def _exquo(p, f):
+    """p / f if f divides p, else None, for p and f with integer
+    coefficients and p / f with integer coefficients if any (f primitive,
+    or a known divisor).  A new element: sympy's `div` can return one with
+    a stale cached hash."""
+    ring = p.ring
+    lm = f.leading_expv()
+    lc = f[lm].numerator
+    rest = [(m, c.numerator) for m, c in f.items() if m != lm]
+    r = {m: c.numerator for m, c in p.items()}
+    q = []
+    while r:
+        m = max(r, key=ring.order)
+        qm = ring.monomial_div(m, lm)
+        c, rem = divmod(r.pop(m), lc)
+        if qm is None or rem:
+            return None
+        q.append((qm, ring.domain.dtype(c)))
+        for fm, fc in rest:
+            k = ring.monomial_mul(qm, fm)
+            v = r.get(k, 0) - c * fc
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+    return p.new(q)
+
+
+def _strip(num, den, facs, upto):
+    """Divide num and den by each (f, e) of upto as often as f divides num,
+    at most e times; facs, den's factors, follow."""
+    left = dict(facs)
+    for f, e in upto:
+        for _ in range(e):
+            q = _exquo(num, f)
+            if q is None:
+                break
+            num, den = q, _exquo(den, f)
+            left[f] -= 1
+    return num, den, tuple((f, e) for f, e in left.items() if e)
+
+
+def _negate(x: Scalar) -> Scalar:
+    fld = x.field
+    if x.raw is fld._one:
+        return fld.minus_one
+    if x.raw is fld._minus_one:
+        return fld.one
+    return Scalar(fld, -x.raw, x._den)
+
+
+def _sum(x: Scalar, y: Scalar, sign: int) -> Scalar:
+    """x + y, or x - y for sign -1, over the lcm of the denominators.  For
+    canonical a/b and c/d, where f's exponents in b and d differ, the new
+    numerator is a or c times factors prime to f, modulo f: only an f with
+    equal exponents can cancel."""
+    fld = x.field
+    a, b = x.raw, y.raw
     if not b:
-        return a
+        return x
     if not a:
-        return b if sign > 0 else -b
-    if not _gcd_free(a, b):
-        return a + b if sign > 0 else a - b
-    bn = b.numer if sign > 0 else -b.numer
-    if a.denom == b.denom:
-        return _lowest_terms(fld, a.numer + bn, a.denom)
-    return _lowest_terms(fld, a.numer * b.denom + bn * a.denom,
-                         a.denom * b.denom)
+        return y if sign > 0 else _negate(y)
+    if _is_constant(a) and _is_constant(b):
+        return Scalar(fld, a + b if sign > 0 else a - b)
+    fa, fb = _factors(x), _factors(y)
+    an, ad, bn, bd = a.numer, a.denom, b.numer, b.denom
+    if sign < 0:
+        bn = -bn
+    if ad == bd:
+        return _reduced(fld, an + bn, ad, fa, fa)
+    g, facs, common = None, dict(fb), []  # g: the polynomial gcd of ad, bd
+    for f, e in fa:
+        e2 = facs.get(f, 0)
+        if e2:
+            h = f ** min(e, e2)
+            g = h if g is None else g * h
+        if e == e2:
+            common.append((f, e))
+        facs[f] = max(e, e2)
+    ma, mb = (bd, ad) if g is None else (_exquo(bd, g), _exquo(ad, g))
+    return _reduced(fld, an * ma + bn * mb, ad * ma, tuple(facs.items()),
+                    common)
 
 
-def _lowest_terms(fld, num, den):
+def _product(x: Scalar, y: Scalar) -> Scalar:
+    """x * y.  For canonical a/b and c/d, a common factor of ac and bd
+    divides a and d, or c and b: trial division finds it."""
+    fld = x.field
+    a, b = x.raw, y.raw
+    # a product with ±1 is the other operand or its negation
+    if b is fld._one:
+        return x
+    if b is fld._minus_one:
+        return _negate(x)
+    if a is fld._one:
+        return y
+    if a is fld._minus_one:
+        return _negate(y)
+    if not a or not b:
+        return fld.zero
+    if _is_constant(a) and _is_constant(b):
+        return Scalar(fld, a * b)
+    fa, fb = _factors(x), _factors(y)
+    an, ad, bn, bd = a.numer, a.denom, b.numer, b.denom
+    if fb and not an.is_ground:
+        an, bd, fb = _strip(an, bd, fb, fb)
+    if fa and not bn.is_ground:
+        bn, ad, fa = _strip(bn, ad, fa, fa)
+    facs = fa or fb
+    if fa and fb:
+        facs = dict(fa)
+        for f, e in fb:
+            facs[f] = facs.get(f, 0) + e
+        facs = tuple(facs.items())
+    return _reduced(fld, an * bn, ad * bd, facs, ())
+
+
+def _quotient(x: Scalar, y: Scalar) -> Scalar:
+    """x / y: x times the inverse of y, whose denominator is factored."""
+    fld = x.field
+    a, b = x.raw, y.raw
+    if not b:
+        raise ScalarError("division by zero")
+    if _is_constant(a) and _is_constant(b):
+        return Scalar(fld, a / b)
+    num, den = (b.denom, b.numer) if b.numer.LC > 0 else (-b.denom, -b.numer)
+    return _product(x, Scalar(fld, fld._field.raw_new(num, den),
+                              () if den.is_ground else _factor(den)))
+
+
+def _reduced(fld, num, den, facs, common) -> Scalar:
     """num/den in canonical form, for num and den with integer
-    coefficients, coprime over Q[params], den with a positive leading
-    coefficient: only the gcd of their integer contents is left to divide
-    out."""
+    coefficients, den with a positive leading coefficient and factors
+    facs, and every common factor among `common` ((f, e), ...).  Past
+    those, only the gcd of the integer contents is left to divide out."""
     if not num:
-        return fld._field.zero
-    g = gcd(*[c.numerator for c in den.values()],
-            *[c.numerator for c in num.values()])
+        return fld.zero
+    if common:
+        num, den, facs = _strip(num, den, facs, common)
+    g = gcd(_content(den), *[c.numerator for c in num.values()])
     if g != 1:
-        num, den = num.quo_ground(g), den.quo_ground(g)
-    return fld._field.raw_new(num, den)
+        q = fld._field.domain.dtype
+        num, den = (p.new([(m, q(c.numerator // g)) for m, c in p.items()])
+                    for p in (num, den))
+    return Scalar(fld, fld._field.raw_new(num, den), facs)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -399,9 +505,14 @@ def affine_split(s: Scalar, unknowns) -> tuple[Scalar, list[Scalar]]:
     for exps, coeff in s.raw.numer.terms():
         slot = next((k + 1 for k, i in enumerate(idx) if exps[i]), 0)
         nums[slot][tuple(exps[i] for i in keep)] = coeff
-    den = ring.from_dict({tuple(exps[i] for i in keep): coeff
-                          for exps, coeff in s.raw.denom.terms()})
-    c0, *cus = [Scalar(target, target._field.new(ring.from_dict(d), den))
+    def drop(poly):
+        return ring.from_dict({tuple(exps[i] for i in keep): coeff
+                               for exps, coeff in poly.terms()})
+
+    # no unknown is in s's denominator, so its factors stay irreducible,
+    # primitive and positive-leading over the other parameters
+    den, facs = drop(s.raw.denom), tuple((drop(f), e) for f, e in _factors(s))
+    c0, *cus = [_reduced(target, ring.from_dict(d), den, facs, facs)
                 for d in nums]
     return c0, cus
 
@@ -459,8 +570,9 @@ def nullspace(system: LinearSystem) -> list[list[Scalar]]:
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][col]
-        rows[r] = [e / piv for e in rows[r]]
+        # one inverse per pivot: its numerator is factored once
+        inv = fld.one / rows[r][col]
+        rows[r] = [e * inv for e in rows[r]]
         for i in range(len(rows)):
             if i != r and not rows[i][col].is_zero:
                 f = rows[i][col]
@@ -476,6 +588,6 @@ def nullspace(system: LinearSystem) -> list[list[Scalar]]:
         v[free] = fld.one
         for ri, cj in pivots:
             v[cj] = -rows[ri][free]
-        first = next(c for c in v if not c.is_zero)
-        basis.append([c / first for c in v])
+        inv = fld.one / next(c for c in v if not c.is_zero)
+        basis.append([c * inv for c in v])
     return basis

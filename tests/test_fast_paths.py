@@ -1,14 +1,16 @@
 """Differential tests: each exact shortcut against the plain path.
 
-Scalar products with ±1, and sums and products where one operand is a
-constant or both are polynomials, skip sympy's cancel; the closed forms'
-rational weights are converted once per field; generator metadata is
-kept in integer units (ranks, degree and weight units, parity bits).
-Each must give the very value, rendering and hash of the plain
-computation, and every check built on the integer units must still fire,
-with the same message.
+Scalar products with ±1 skip sympy's cancel, and every other sum,
+product and quotient with a non-constant operand is reduced by trial
+division over its denominators' factors; the closed forms' rational
+weights are converted once per field; generator metadata is kept in
+integer units (ranks, degree and weight units, parity bits).  Each must
+give the very value, rendering and hash of the plain computation (down
+to whole jacobiators and normal forms), and every check built on the
+integer units must still fire, with the same message.
 """
 
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -17,14 +19,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
-from nlca.algebra import AlgebraError, Presentation, RGen, apply_T
+from nlca.algebra import (AlgebraError, Presentation, RGen, apply_T,
+                          render_tpoly)
 from nlca.calculus import CalculusError, Engine, _weight
-from nlca.frontend import load_bundled, parse_source
+from nlca.formal import render_lpoly
+from nlca.frontend import load_bundled, parse_scalar, parse_source
 from nlca.pbw import PBWError, Reducer, inversions
-from nlca.scalars import Scalar, scalar_field
+from nlca.scalars import Scalar, affine_split, scalar_field
 
 from builders import bundled_names
-from randgen import random_coeff
+from randgen import random_coeff, random_tensor
 
 FIELDS = ((), ("c",), ("a", "b"))
 
@@ -204,11 +208,207 @@ def test_no_cancel_with_a_constant_or_two_polynomials(monkeypatch):
     assert cancels(constants, kinds["rational function"]) == 0
     # (b) two polynomials
     assert cancels(kinds["polynomial"], kinds["polynomial"][::-1]) == 0
-    # constant by constant and rational function with rational function
-    # keep sympy's path
-    assert cancels(constants, constants[::-1]) > 0
+    # (c) rational function with rational function, by trial division
     assert cancels(kinds["rational function"],
-                   kinds["rational function"][::-1]) > 0
+                   kinds["rational function"][::-1]) == 0
+    # quotients with a non-constant operand
+    del calls[:]
+    for x, y in zip(kinds["rational function"], kinds["polynomial"]):
+        x / y, y / x
+        x / constants[0], constants[0] / x
+    assert len(calls) == 0
+    # constant by constant keeps sympy's path until the benchmark's
+    # peak_rss_mb stops growing with throughput (ROADMAP item 1)
+    assert cancels(constants, constants[::-1]) > 0
+
+
+# -- rational functions by trial division -------------------------------------
+
+def factor_pool(fld):
+    """The denominators' factors the draws below share: 5x+22, x-10 and
+    2x-1 in the first parameter x, and xy+3y-1 where there is a second
+    parameter y.  None for Q, where every draw is a constant."""
+    if not fld.params:
+        return []
+    x = fld.param(fld.params[0])
+    pool = [5 * x + 22, x - 10, 2 * x - 1]
+    if len(fld.params) > 1:
+        y = fld.param(fld.params[1])
+        pool.append(x * y + 3 * y - 1)
+    return pool
+
+
+def shared_factors(fld, rng):
+    """A seeded element of fld built with sympy's plain operators: a
+    polynomial, sometimes times pool factors, over a constant times pool
+    factors with exponents up to 3."""
+    num, den = polynomial(fld, rng).raw, fld.convert(random_coeff(rng)).raw
+    for f in factor_pool(fld):
+        den = den * f.raw ** rng.randrange(4)
+        if rng.random() < 0.3:
+            num = num * f.raw
+    return Scalar(fld, num / den)
+
+
+def partners(fld, rng, x):
+    """Second operands for x: another draw, x itself, a constant, and ones
+    whose sum or product with x collapses to a polynomial, a constant or
+    zero."""
+    p = polynomial(fld, rng).raw
+    k = fld.convert(random_coeff(rng)).raw
+    out = [shared_factors(fld, rng), x, Scalar(fld, k), Scalar(fld, p - x.raw),
+           Scalar(fld, k - x.raw), Scalar(fld, -x.raw)]
+    if x:
+        out.append(Scalar(fld, p / x.raw))
+    return out
+
+
+def check_four_operations(fld, x, y):
+    """+ - * / in both orders, against sympy's operators on .raw."""
+    for u, v in ((x, y), (y, x)):
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            if op is operator.truediv and not v:
+                continue
+            assert_same(op(u, v), Scalar(fld, op(u.raw, v.raw)))
+
+
+def check_shared_factors(fld, rng):
+    x = shared_factors(fld, rng)
+    for y in partners(fld, rng, x):
+        check_four_operations(fld, x, y)
+    assert_same(x + Scalar(fld, -x.raw), fld.zero)
+    if x:
+        assert_same(x * Scalar(fld, 1 / x.raw), fld.one)
+        for n in (1, 2, 3):
+            assert_same(x ** -n, 1 / x ** n)
+            assert_same(x ** -n, Scalar(fld, 1 / x.raw ** n))
+
+
+def test_shared_factors_match_plain_path_seeded():
+    rng = random.Random(1717)
+    for params in FIELDS:
+        fld = scalar_field(params)
+        for _ in range(12):
+            check_shared_factors(fld, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 2 ** 32))
+def test_shared_factors_match_plain_path_hypothesis(params, seed):
+    check_shared_factors(scalar_field(params), random.Random(seed))
+
+
+def test_negative_powers_fix_the_sign():
+    fld = scalar_field(("c",))
+    c = fld.param("c")
+    for x, want in ((-c, "-1/(c)"), ((1 - c) / (c + 2), "(-c - 2)/(c - 1)"),
+                    (fld.convert(-3), "-1/3")):
+        assert str(x ** -1) == want
+        assert_same(x ** -1, 1 / x)
+        assert_same(x ** -2, 1 / x ** 2)
+    assert_same((-c) ** -1, -1 / c)
+
+
+def test_trial_division_results_hash_as_their_values():
+    # sympy's PolyElement.div can return a quotient that keeps a hash
+    # cached before it was filled in: equal to the value, hashing apart
+    fld = scalar_field(("c",))
+    c = fld.param("c")
+    d = (5 * c + 22) ** 2
+    got = (c + 1) / d + (4 * c + 21) / d
+    want = 1 / (5 * c + 22)
+    assert_same(got, want)
+    assert_same(got, Scalar(fld, 1 / (5 * c + 22).raw))
+    assert {want: "entry"}[got] == "entry"
+    assert {got: "entry"}.get(Scalar(fld, want.raw)) == "entry"
+    # so can its square(), which ** uses
+    for x in (c + 2, (c - 10) / (2 * c - 1), 3 / (c * c + 1)):
+        for n in (2, 3, 4):
+            product = x
+            for _ in range(n - 1):
+                product = product * x
+            assert_same(x ** n, product)
+    assert_same(fld.zero ** 0, fld.one)
+
+
+def plain_affine_split(s, unknowns):
+    """affine_split's coefficients as sympy's FracField.new builds them,
+    each with a cancel."""
+    params = s.field.params
+    keep = [i for i, p in enumerate(params) if p not in unknowns]
+    slots = [params.index(u) for u in unknowns]
+    target = scalar_field(params[i] for i in keep)
+    ring = target._field.ring
+
+    def drop(terms):
+        return ring.from_dict({tuple(e[i] for i in keep): c for e, c in terms})
+
+    den = drop(s.raw.denom.terms())
+    out = []
+    for slot in [None] + slots:
+        terms = [(e, c) for e, c in s.raw.numer.terms()
+                 if (e[slot] if slot is not None
+                     else not any(e[i] for i in slots))]
+        out.append(Scalar(target, target._field.new(drop(terms), den)))
+    return out
+
+
+def test_affine_split_matches_plain_path():
+    rng = random.Random(2323)
+    small = scalar_field(("c", "k"))
+    big = scalar_field(("c", "u", "k", "v"))
+    u, v = big.param("u"), big.param("v")
+    for _ in range(20):
+        c0, cu, cv = (parse_scalar(big, str(shared_factors(small, rng)))
+                      for _ in range(3))
+        # sympy's plain operators, so the split sees a cancelled input
+        s = Scalar(big, c0.raw + cu.raw * u.raw + cv.raw * v.raw)
+        got = affine_split(s, ("u", "v"))
+        for x, y in zip([got[0]] + got[1], plain_affine_split(s, ("u", "v"))):
+            assert_same(x, y)
+
+
+def plain_method(op):
+    def method(x, other):
+        fld = x.field
+        y = other.raw if isinstance(other, Scalar) else fld.convert(other).raw
+        return Scalar(fld, op(x.raw, y))
+    return method
+
+
+PLAIN = {
+    "__add__": operator.add, "__radd__": lambda a, b: b + a,
+    "__sub__": operator.sub, "__rsub__": lambda a, b: b - a,
+    "__mul__": operator.mul, "__rmul__": lambda a, b: b * a,
+    "__truediv__": operator.truediv, "__rtruediv__": lambda a, b: b / a,
+}
+
+
+def w3_renderings(pres, seed):
+    """Rendered jacobiators, with their normal forms, and normal forms of
+    words, on seeded w3 tensors, from a fresh Engine."""
+    rng = random.Random(seed)
+    engine = Engine(pres)
+    reducer = Reducer(engine)
+    out = []
+    for _ in range(3):
+        x, y, z = (random_tensor(pres, rng, terms=1, allow_empty=False)
+                   for _ in range(3))
+        j = engine.jacobiator(x, y, z)
+        out += [render_lpoly(j), render_lpoly(reducer.normal_order_lpoly(j))]
+        out.append(render_tpoly(reducer.normal_order(
+            random_tensor(pres, rng, terms=3, allow_empty=False))))
+    return out
+
+
+def test_engine_matches_plain_scalar_arithmetic(w3, monkeypatch):
+    fast = w3_renderings(w3, 41)
+    for name, op in PLAIN.items():
+        monkeypatch.setattr(Scalar, name, plain_method(op))
+    monkeypatch.setattr(Scalar, "__neg__", lambda x: Scalar(x.field, -x.raw))
+    assert w3_renderings(w3, 41) == fast
+    assert any("/" in text for text in fast)
 
 
 # -- closed-form weights, converted once per field ----------------------------
