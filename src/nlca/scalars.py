@@ -5,25 +5,35 @@ function of the declared parameters (and, for ansatz presentations, the
 declared unknowns) with exact rational coefficients.  Scalars from different
 fields never mix; arithmetic between them raises ScalarError.
 
-The representation is backed by sympy's sparse rational function fields.
 Every element is kept as N/D in one canonical form: N and D have integer
 coefficients, are coprime over Q[params] and have coprime integer
 contents, and the leading coefficient of D in graded-lex order is
-positive.  So structural equality of canonical forms is plain equality of
-the wrapped elements.  The representation stays private to this module;
-text is read by frontend.parse_scalar, in the grammar of the file format.
+positive.  So structural equality of canonical forms is equality of
+values.  A constant hashes as the Fraction it equals, so a Scalar hashes
+equal to an equal int or Fraction.  The representation stays private to
+this module; text is read by frontend.parse_scalar, in the grammar of the
+file format.
 
-Only constant by constant goes through sympy's own operators, which
+A constant is backed by an element of sympy's sparse rational function
+field, and constant by constant goes through sympy's own operators, which
 reach the canonical form with `cancel`, a polynomial gcd.  Every other
-sum, difference, product and quotient keeps the denominator factored
-over Q (Scalar._den, filled in by sympy's factor_list once for a
-denominator that enters from outside this arithmetic: parsing, a pin,
-affine_split, a nullspace pivot) and carries the factors forward.  For
+Scalar keeps N and D as dicts {exponent tuple: int} and its denominator's
+irreducible factors over Q, each a hashable int dict with its leading
+term split off (Scalar._facs).  sympy's factor_list runs once for a
+denominator that enters from outside this arithmetic: the divisor's
+numerator in a quotient (so parsing, a pin, a nullspace pivot), or the
+denominator of a Scalar built from a sympy element, when first needed.
+Every sum, difference, product, negation and power with a non-constant
+operand runs on Python ints and carries the factors forward.  For
 canonical operands, a common factor of the new numerator and denominator
 is one of those factors, so trial division by them, then by the integer
 contents, gives the canonical form with no gcd.  A product with ±1 is
 the other operand or its negation.  A quotient is a product with the
 inverse, whose denominator is the divisor's numerator, factored there.
+
+Scalar.raw is the sympy element of any Scalar, built on first use for a
+non-constant one, and Scalar(field, element) wraps a canonical sympy
+element (every result of sympy's field arithmetic is one).
 """
 
 from __future__ import annotations
@@ -62,6 +72,11 @@ def scalar_field(params=()) -> "ScalarField":
     return fld
 
 
+def _grlex(exps):
+    """The graded-lex sort key of an exponent tuple."""
+    return sum(exps), exps
+
+
 class ScalarField:
     """The field Q(p1, ..., pk).  Use scalar_field() to construct."""
 
@@ -72,26 +87,31 @@ class ScalarField:
         if len(set(params)) != len(params):
             raise ScalarError("duplicate parameter names in %r" % (params,))
         self.params = params
-        ret = _sympy_field(list(params), QQ, order=grlex)
-        self._field = ret[0]
-        self._gens = dict(zip(params, ret[1:]))
+        self._field = _sympy_field(list(params), QQ, order=grlex)[0]
+        ring = self._field.ring
+        # exponent tuples: the constant one, product and exact quotient
+        # (None if not divisible), and the graded-lex key, which for one
+        # parameter is the tuples' own order
+        self._zm = ring.zero_monom
+        self._mul, self._div = ring.monomial_mul, ring.monomial_div
+        self._key = _grlex if len(params) > 1 else None
         # ±1 are cached by identity: _product and _negate test for them
         # with `is`
         one = self._field.one
         self._one, self._minus_one = one, -one
-        self.zero = Scalar(self, self._field.zero, ())
-        self.one = Scalar(self, one, ())
-        self.minus_one = Scalar(self, self._minus_one, ())
+        self.zero = _constant(self, self._field.zero)
+        self.one = _constant(self, one)
+        self.minus_one = _constant(self, self._minus_one)
         self._ints: dict[int, Scalar] = {1: self.one, -1: self.minus_one}
 
     def __repr__(self):
         return "ScalarField(%s)" % (", ".join(self.params) or "Q")
 
     def param(self, name: str) -> "Scalar":
-        try:
-            return Scalar(self, self._gens[name])
-        except KeyError:
-            raise ScalarError("unknown parameter %r" % (name,)) from None
+        if name not in self.params:
+            raise ScalarError("unknown parameter %r" % (name,))
+        exps = tuple(int(p == name) for p in self.params)
+        return _new(self, {exps: 1}, {self._zm: 1}, ())
 
     def _coerce(self, x):
         """x as a Scalar of this field, for an int, Fraction or Scalar of
@@ -105,15 +125,15 @@ class ScalarField:
             # paths would otherwise leak bare ints into later arithmetic
             s = self._ints.get(x)
             if s is None:
-                s = Scalar(self, self._field.ground_new(QQ(x)), ())
+                s = _constant(self, self._field.ground_new(QQ(x)))
                 if -64 <= x <= 64:
                     self._ints[x] = s
             return s
         if isinstance(x, Fraction):
             if x.denominator == 1:
                 return self._coerce(x.numerator)
-            return Scalar(self, self._field.ground_new(
-                QQ(x.numerator, x.denominator)), ())
+            return _constant(self, self._field.ground_new(
+                QQ(x.numerator, x.denominator)))
         return None
 
     def convert(self, x) -> "Scalar":
@@ -124,31 +144,60 @@ class ScalarField:
 
 
 class Scalar:
-    """An element of a ScalarField, kept in reduced canonical form."""
+    """An element of a ScalarField, kept in reduced canonical form.
 
-    __slots__ = ("field", "raw", "_den")
+    A constant has its sympy element in _raw and None in _num and _den; any
+    other Scalar has int dicts in _num and _den, its denominator's factors
+    in _facs (None until first needed, see _factors) and a sympy element in
+    _raw only once .raw was read."""
 
-    def __init__(self, fld: ScalarField, raw, den=None):
+    __slots__ = ("field", "_raw", "_num", "_den", "_facs")
+
+    def __init__(self, fld: ScalarField, raw):
+        """The Scalar of `raw`, a canonical element of fld's sympy field."""
         self.field = fld
-        self.raw = raw
-        self._den = den  # raw.denom factored (see _factors), or None
+        self._raw = raw
+        if raw.numer.is_ground and raw.denom.is_ground:
+            self._num = self._den = None
+            self._facs = ()
+        else:
+            self._num, self._den = _int_dict(raw.numer), _int_dict(raw.denom)
+            self._facs = None
+
+    @property
+    def raw(self):
+        """This Scalar as an element of sympy's rational function field."""
+        if self._raw is None:
+            f = self.field._field
+            self._raw = f.raw_new(f.ring.from_dict(self._num),
+                                  f.ring.from_dict(self._den))
+        return self._raw
 
     def __bool__(self):
-        return bool(self.raw)
+        return self._num is not None or bool(self._raw)
 
     @property
     def is_zero(self) -> bool:
-        return not self.raw
+        return self._num is None and not self._raw
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.field is other.field and self.raw == other.raw
+            if self.field is not other.field:
+                return False
+            if self._num is None:
+                return other._num is None and self._raw == other._raw
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            return self.raw == self.field._coerce(other).raw
+            return (self._num is None
+                    and self._raw == self.field._coerce(other)._raw)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.raw)
+        if self._num is None:
+            (num, den), zm = _dicts(self), self.field._zm
+            return hash(Fraction(num.get(zm, 0), den[zm]))
+        return hash((frozenset(self._num.items()),
+                     frozenset(self._den.items())))
 
     def __add__(self, other):
         y = self.field._coerce(other)
@@ -182,125 +231,236 @@ class Scalar:
         return NotImplemented if y is None else _quotient(y, self)
 
     def __pow__(self, n: int):
+        fld = self.field
         if n < 0:
-            return _quotient(self.field.one, self) ** -n
+            return _quotient(fld.one, self) ** -n
         if not n:
-            return self.field.one
-        # sympy's square() caches a hash before it fills the square in:
-        # the copies hash afresh
-        raw, den = self.raw, self._den
-        return Scalar(self.field, self.field._field.raw_new(
-            (raw.numer ** n).copy(), (raw.denom ** n).copy()),
-            den and tuple((f, e * n) for f, e in den))
+            return fld.one
+        num, den = (_ppow(fld, p, n) for p in _dicts(self))
+        if self._num is None:
+            return _const(fld, num.get(fld._zm, 0), den[fld._zm])
+        facs = self._facs
+        return _new(fld, num, den,
+                    facs and tuple((f, e * n) for f, e in facs))
 
     def __str__(self):
-        return _render(self.field, self.raw)
+        return _render(self.field, *_dicts(self))
 
     def __repr__(self):
         return "Scalar(%s)" % (self,)
 
     def evaluate(self, assignment: dict[str, Fraction]) -> Fraction:
         """Evaluate at rational parameter values.  All params must be given."""
-        fld = self.field
-        pairs = []
-        for i, p in enumerate(fld.params):
+        values = []
+        for p in self.field.params:
             if p not in assignment:
                 raise ScalarError("no value for parameter %r" % (p,))
-            v = Fraction(assignment[p])
-            pairs.append((fld._field.ring.gens[i], QQ(v.numerator, v.denominator)))
-        num = self.raw.numer.evaluate(pairs) if pairs else self.raw.numer.coeff(1)
-        den = self.raw.denom.evaluate(pairs) if pairs else self.raw.denom.coeff(1)
-        nf = Fraction(int(num.numerator), int(num.denominator))
-        df = Fraction(int(den.numerator), int(den.denominator))
-        if df == 0:
+            values.append(Fraction(assignment[p]))
+        num, den = (_evaluate(p, values) for p in _dicts(self))
+        if den == 0:
             raise ScalarError("denominator vanishes at the given point")
-        return nf / df
+        return num / den
 
     def complexity(self) -> int:
         """Number of terms in the numerator plus the denominator."""
-        return len(self.raw.numer) + len(self.raw.denom)
+        num, den = _dicts(self)
+        return len(num) + len(den)
+
+
+_alloc = object.__new__
+
+
+def _constant(fld: ScalarField, raw) -> Scalar:
+    """The Scalar of raw, a constant of fld's sympy field."""
+    s = _alloc(Scalar)
+    s.field, s._raw, s._num, s._den, s._facs = fld, raw, None, None, ()
+    return s
+
+
+def _new(fld: ScalarField, num: dict, den: dict, facs) -> Scalar:
+    """The non-constant Scalar num/den, for num and den in canonical form
+    and facs den's factors (or None)."""
+    s = _alloc(Scalar)
+    s.field, s._raw, s._num, s._den, s._facs = fld, None, num, den, facs
+    return s
+
+
+def _const(fld: ScalarField, n: int, d: int) -> Scalar:
+    """The constant n/d, for coprime n and d > 0."""
+    if d == 1:
+        return fld._coerce(n)
+    return _constant(fld, fld._field.ground_new(QQ(n, d)))
+
+
+def _int_dict(poly) -> dict:
+    """A sympy polynomial with integer coefficients as {exponents: int}."""
+    return {m: int(c.numerator) for m, c in poly.items()}
+
+
+def _dicts(x: Scalar) -> tuple[dict, dict]:
+    """x's numerator and denominator as int dicts."""
+    if x._num is not None:
+        return x._num, x._den
+    raw, zm = x._raw, x.field._zm
+    n = raw.numer.get(zm)
+    return ({zm: int(n.numerator)} if n else {},
+            {zm: int(raw.denom[zm].numerator)})
+
+
+def _evaluate(poly: dict, values: list[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for exps, c in poly.items():
+        term = Fraction(c)
+        for v, e in zip(values, exps):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+# -- polynomials as int dicts ------------------------------------------------
+
+def _is_ground(fld: ScalarField, p: dict) -> bool:
+    """p is a nonzero constant."""
+    return len(p) == 1 and fld._zm in p
+
+
+def _pneg(p: dict) -> dict:
+    return {m: -c for m, c in p.items()}
+
+
+def _padd(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        c += out.get(m, 0)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
+
+
+def _pmul(fld: ScalarField, p: dict, q: dict) -> dict:
+    if len(p) < len(q):
+        p, q = q, p
+    mul = fld._mul
+    if len(q) == 1:
+        # a term times p: no two products share a monomial
+        (m2, c2), = q.items()
+        if m2 == fld._zm:
+            return {m: c * c2 for m, c in p.items()}
+        return {mul(m, m2): c * c2 for m, c in p.items()}
+    out = {}
+    get = out.get
+    for m2, c2 in q.items():
+        for m1, c1 in p.items():
+            m = mul(m1, m2)
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ppow(fld: ScalarField, p: dict, n: int) -> dict:
+    """p ** n for n >= 1."""
+    out = p
+    for _ in range(n - 1):
+        out = _pmul(fld, out, p)
+    return out
+
+
+def _lead(fld: ScalarField, p: dict):
+    """p's graded-lex leading monomial."""
+    return max(p, key=fld._key)
+
+
+class _Factor(dict):
+    """An irreducible factor of a denominator as an int dict: primitive
+    over Z, with a positive leading coefficient.  Hashable (it is never
+    changed), with its leading term and the other terms split off for
+    trial division."""
+
+    __slots__ = ("lm", "lc", "rest", "_hash")
+
+    def __init__(self, fld: ScalarField, terms: dict):
+        super().__init__(terms)
+        self.lm = _lead(fld, self)
+        self.lc = self[self.lm]
+        self.rest = [(m, c) for m, c in self.items() if m != self.lm]
+        self._hash = hash(frozenset(self.items()))
+
+    def __hash__(self):
+        return self._hash
 
 
 # -- arithmetic by trial division ---------------------------------------------
 
-def _is_constant(a) -> bool:
-    return a.numer.is_ground and a.denom.is_ground
-
-
 def _factors(x: Scalar) -> tuple:
     """x's denominator as ((f, e), ...): its integer content times the
-    product of the f^e, each f irreducible, primitive over Z, with a
-    positive leading coefficient."""
-    if x._den is None:
-        d = x.raw.denom
-        x._den = () if d.is_ground else _factor(d)
-    return x._den
+    product of the f^e, each f a _Factor."""
+    if x._facs is None:
+        x._facs = _factor(x.field, x._den)
+    return x._facs
 
 
-def _factor(poly) -> tuple:
+def _factor(fld: ScalarField, den: dict) -> tuple:
+    """den's factors as _factors gives them, by sympy's factor_list."""
+    if _is_ground(fld, den):
+        return ()
     out = []
-    for f, e in poly.factor_list()[1]:
-        _, f = f.clear_denoms()
-        g = _content(f) * (1 if f.LC > 0 else -1)
-        # a fresh element: its cached hash is its own
-        out.append((poly.ring.from_dict({m: c / g for m, c in f.items()}), e))
+    for f, e in fld._field.ring.from_dict(den).factor_list()[1]:
+        ints = _int_dict(f.clear_denoms()[1])
+        g = gcd(*ints.values())
+        if ints[_lead(fld, ints)] < 0:
+            g = -g
+        out.append((_Factor(fld, {m: c // g for m, c in ints.items()}), e))
     return tuple(out)
 
 
-def _content(poly) -> int:
-    """The gcd of the coefficients of poly, which are integers."""
-    return gcd(*[c.numerator for c in poly.values()])
-
-
-def _exquo(p, f):
-    """p / f if f divides p, else None, for p and f with integer
-    coefficients and p / f with integer coefficients if any (f primitive,
-    or a known divisor).  A new element: sympy's `div` can return one with
-    a stale cached hash."""
-    ring = p.ring
-    lm = f.leading_expv()
-    lc = f[lm].numerator
-    rest = [(m, c.numerator) for m, c in f.items() if m != lm]
-    r = {m: c.numerator for m, c in p.items()}
-    q = []
+def _exquo(fld: ScalarField, p: dict, f: _Factor):
+    """p / f if f divides p, else None, for p with integer coefficients
+    (f is primitive, so p / f has integer coefficients if any)."""
+    key, mul, div = fld._key, fld._mul, fld._div
+    lm, lc, rest = f.lm, f.lc, f.rest
+    r, q = dict(p), {}
     while r:
-        m = max(r, key=ring.order)
-        qm = ring.monomial_div(m, lm)
+        m = max(r, key=key)
+        qm = div(m, lm)
         c, rem = divmod(r.pop(m), lc)
         if qm is None or rem:
             return None
-        q.append((qm, ring.domain.dtype(c)))
+        q[qm] = c
         for fm, fc in rest:
-            k = ring.monomial_mul(qm, fm)
+            k = mul(qm, fm)
             v = r.get(k, 0) - c * fc
             if v:
                 r[k] = v
             else:
                 del r[k]
-    return p.new(q)
+    return q
 
 
-def _strip(num, den, facs, upto):
+def _strip(fld, num, den, facs, upto):
     """Divide num and den by each (f, e) of upto as often as f divides num,
     at most e times; facs, den's factors, follow."""
     left = dict(facs)
     for f, e in upto:
         for _ in range(e):
-            q = _exquo(num, f)
+            q = _exquo(fld, num, f)
             if q is None:
                 break
-            num, den = q, _exquo(den, f)
+            num, den = q, _exquo(fld, den, f)
             left[f] -= 1
     return num, den, tuple((f, e) for f, e in left.items() if e)
 
 
 def _negate(x: Scalar) -> Scalar:
     fld = x.field
-    if x.raw is fld._one:
+    if x._num is not None:
+        return _new(fld, _pneg(x._num), x._den, x._facs)
+    if x._raw is fld._one:
         return fld.minus_one
-    if x.raw is fld._minus_one:
+    if x._raw is fld._minus_one:
         return fld.one
-    return Scalar(fld, -x.raw, x._den)
+    return _constant(fld, -x._raw)
 
 
 def _sum(x: Scalar, y: Scalar, sign: int) -> Scalar:
@@ -309,38 +469,35 @@ def _sum(x: Scalar, y: Scalar, sign: int) -> Scalar:
     numerator is a or c times factors prime to f, modulo f: only an f with
     equal exponents can cancel."""
     fld = x.field
-    a, b = x.raw, y.raw
-    if not b:
+    if not y:
         return x
-    if not a:
+    if not x:
         return y if sign > 0 else _negate(y)
-    if _is_constant(a) and _is_constant(b):
-        return Scalar(fld, a + b if sign > 0 else a - b)
+    if x._num is None and y._num is None:
+        a, b = x._raw, y._raw
+        return _constant(fld, a + b if sign > 0 else a - b)
+    (an, ad), (bn, bd) = _dicts(x), _dicts(y)
     fa, fb = _factors(x), _factors(y)
-    an, ad, bn, bd = a.numer, a.denom, b.numer, b.denom
     if sign < 0:
-        bn = -bn
+        bn = _pneg(bn)
     if ad == bd:
-        return _reduced(fld, an + bn, ad, fa, fa)
-    g, facs, common = None, dict(fb), []  # g: the polynomial gcd of ad, bd
+        return _reduced(fld, _padd(an, bn), ad, fa, fa)
+    # ma = bd / g and mb = ad / g, g the polynomial gcd of ad and bd
+    ma, mb, facs, common = bd, ad, dict(fb), []
     for f, e in fa:
         e2 = facs.get(f, 0)
-        if e2:
-            h = f ** min(e, e2)
-            g = h if g is None else g * h
+        for _ in range(min(e, e2)):
+            ma, mb = _exquo(fld, ma, f), _exquo(fld, mb, f)
         if e == e2:
             common.append((f, e))
         facs[f] = max(e, e2)
-    ma, mb = (bd, ad) if g is None else (_exquo(bd, g), _exquo(ad, g))
-    return _reduced(fld, an * ma + bn * mb, ad * ma, tuple(facs.items()),
-                    common)
+    return _reduced(fld, _padd(_pmul(fld, an, ma), _pmul(fld, bn, mb)),
+                    _pmul(fld, ad, ma), tuple(facs.items()), common)
 
 
 def _product(x: Scalar, y: Scalar) -> Scalar:
-    """x * y.  For canonical a/b and c/d, a common factor of ac and bd
-    divides a and d, or c and b: trial division finds it."""
     fld = x.field
-    a, b = x.raw, y.raw
+    a, b = x._raw, y._raw
     # a product with ±1 is the other operand or its negation
     if b is fld._one:
         return x
@@ -350,36 +507,43 @@ def _product(x: Scalar, y: Scalar) -> Scalar:
         return y
     if a is fld._minus_one:
         return _negate(y)
-    if not a or not b:
+    if not x or not y:
         return fld.zero
-    if _is_constant(a) and _is_constant(b):
-        return Scalar(fld, a * b)
-    fa, fb = _factors(x), _factors(y)
-    an, ad, bn, bd = a.numer, a.denom, b.numer, b.denom
-    if fb and not an.is_ground:
-        an, bd, fb = _strip(an, bd, fb, fb)
-    if fa and not bn.is_ground:
-        bn, ad, fa = _strip(bn, ad, fa, fa)
+    if x._num is None and y._num is None:
+        return _constant(fld, a * b)
+    return _times(fld, *_dicts(x), _factors(x), *_dicts(y), _factors(y))
+
+
+def _times(fld, an, ad, fa, bn, bd, fb) -> Scalar:
+    """(an/ad) * (bn/bd), each canonical with its denominator's factors.
+    A common factor of an*bn and ad*bd divides an and bd, or bn and ad:
+    trial division finds it."""
+    if fb and not _is_ground(fld, an):
+        an, bd, fb = _strip(fld, an, bd, fb, fb)
+    if fa and not _is_ground(fld, bn):
+        bn, ad, fa = _strip(fld, bn, ad, fa, fa)
     facs = fa or fb
     if fa and fb:
         facs = dict(fa)
         for f, e in fb:
             facs[f] = facs.get(f, 0) + e
         facs = tuple(facs.items())
-    return _reduced(fld, an * bn, ad * bd, facs, ())
+    return _reduced(fld, _pmul(fld, an, bn), _pmul(fld, ad, bd), facs, ())
 
 
 def _quotient(x: Scalar, y: Scalar) -> Scalar:
     """x / y: x times the inverse of y, whose denominator is factored."""
     fld = x.field
-    a, b = x.raw, y.raw
-    if not b:
+    if not y:
         raise ScalarError("division by zero")
-    if _is_constant(a) and _is_constant(b):
-        return Scalar(fld, a / b)
-    num, den = (b.denom, b.numer) if b.numer.LC > 0 else (-b.denom, -b.numer)
-    return _product(x, Scalar(fld, fld._field.raw_new(num, den),
-                              () if den.is_ground else _factor(den)))
+    if not x:
+        return fld.zero
+    if x._num is None and y._num is None:
+        return _constant(fld, x._raw / y._raw)
+    num, den = _dicts(y)
+    if num[_lead(fld, num)] < 0:
+        num, den = _pneg(num), _pneg(den)
+    return _times(fld, *_dicts(x), _factors(x), den, num, _factor(fld, num))
 
 
 def _reduced(fld, num, den, facs, common) -> Scalar:
@@ -390,13 +554,14 @@ def _reduced(fld, num, den, facs, common) -> Scalar:
     if not num:
         return fld.zero
     if common:
-        num, den, facs = _strip(num, den, facs, common)
-    g = gcd(_content(den), *[c.numerator for c in num.values()])
+        num, den, facs = _strip(fld, num, den, facs, common)
+    g = gcd(*num.values(), *den.values())
     if g != 1:
-        q = fld._field.domain.dtype
-        num, den = (p.new([(m, q(c.numerator // g)) for m, c in p.items()])
-                    for p in (num, den))
-    return Scalar(fld, fld._field.raw_new(num, den), facs)
+        num = {m: c // g for m, c in num.items()}
+        den = {m: c // g for m, c in den.items()}
+    if not facs and _is_ground(fld, num):
+        return _const(fld, num[fld._zm], den[fld._zm])
+    return _new(fld, num, den, facs)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -433,23 +598,24 @@ def _fmt_q(c) -> str:
     return _fmt_int(n) if d == 1 else "%s/%s" % (_fmt_int(n), _fmt_int(d))
 
 
-def _fmt_poly(poly, names) -> str:
-    terms = list(poly.terms())
-    if not terms:
+def _fmt_poly(poly: dict, names) -> str:
+    """poly's terms in sympy's order, graded-lex descending."""
+    if not poly:
         return "0"
     out = []
-    for exps, coeff in terms:
+    for exps, coeff in sorted(poly.items(), key=lambda t: _grlex(t[0]),
+                              reverse=True):
         neg = coeff < 0
         ac = -coeff if neg else coeff
         mono = "*".join(
             nm if e == 1 else "%s^%d" % (nm, e)
             for nm, e in zip(names, exps) if e)
         if not mono:
-            body = _fmt_q(ac)
+            body = _fmt_int(ac)
         elif ac == 1:
             body = mono
         else:
-            body = "%s*%s" % (_fmt_q(ac), mono)
+            body = "%s*%s" % (_fmt_int(ac), mono)
         if not out:
             out.append("-" + body if neg else body)
         else:
@@ -457,27 +623,25 @@ def _fmt_poly(poly, names) -> str:
     return "".join(out)
 
 
-def _render(fld: ScalarField, raw) -> str:
-    num, den = raw.numer, raw.denom
+def _render(fld: ScalarField, num: dict, den: dict) -> str:
     ns = _fmt_poly(num, fld.params)
-    if den == 1:
-        return ns
-    if len(num.terms()) > 1:
-        ns = "(%s)" % ns
-    dterms = den.terms()
-    if len(dterms) == 1 and not any(dterms[0][0]):
-        ds = _fmt_q(dterms[0][1])
-    else:
+    if not _is_ground(fld, den):
         ds = "(%s)" % _fmt_poly(den, fld.params)
+    elif den[fld._zm] == 1:
+        return ns
+    else:
+        ds = _fmt_int(den[fld._zm])
+    if len(num) > 1:
+        ns = "(%s)" % ns
     return "%s/%s" % (ns, ds)
 
 
 def affine_defects(s: Scalar, unknowns) -> tuple[bool, bool]:
     """(not affine, unknown in a denominator) for s, the unknowns jointly."""
-    fld = s.field
-    idx = [fld.params.index(u) for u in unknowns]
-    nonaffine = any(sum(exps[i] for i in idx) > 1 for exps in s.raw.numer)
-    in_den = any(s.raw.denom.degree(fld._field.ring.gens[i]) > 0 for i in idx)
+    idx = [s.field.params.index(u) for u in unknowns]
+    num, den = _dicts(s)
+    nonaffine = any(sum(exps[i] for i in idx) > 1 for exps in num)
+    in_den = any(exps[i] for exps in den for i in idx)
     return nonaffine, in_den
 
 
@@ -498,22 +662,21 @@ def affine_split(s: Scalar, unknowns) -> tuple[Scalar, list[Scalar]]:
     idx = [params.index(u) for u in unknowns]
     keep = [i for i in range(len(params)) if i not in idx]
     target = scalar_field(params[i] for i in keep)
-    ring = target._field.ring
+    num, den = _dicts(s)
+
+    def drop(poly):
+        return {tuple(exps[i] for i in keep): c for exps, c in poly.items()}
+
     # an affine numerator term holds at most one unknown: file it under
     # that unknown (slot 0 is c0) with the unknown dropped
     nums = [{} for _ in range(len(idx) + 1)]
-    for exps, coeff in s.raw.numer.terms():
+    for exps, c in num.items():
         slot = next((k + 1 for k, i in enumerate(idx) if exps[i]), 0)
-        nums[slot][tuple(exps[i] for i in keep)] = coeff
-    def drop(poly):
-        return ring.from_dict({tuple(exps[i] for i in keep): coeff
-                               for exps, coeff in poly.terms()})
-
+        nums[slot][tuple(exps[i] for i in keep)] = c
     # no unknown is in s's denominator, so its factors stay irreducible,
     # primitive and positive-leading over the other parameters
-    den, facs = drop(s.raw.denom), tuple((drop(f), e) for f, e in _factors(s))
-    c0, *cus = [_reduced(target, ring.from_dict(d), den, facs, facs)
-                for d in nums]
+    facs = tuple((_Factor(target, drop(f)), e) for f, e in _factors(s))
+    c0, *cus = [_reduced(target, d, drop(den), facs, facs) for d in nums]
     return c0, cus
 
 

@@ -2,9 +2,11 @@
 
 Scalar products with ±1 skip sympy's cancel, and every other sum,
 product and quotient with a non-constant operand is reduced by trial
-division over its denominators' factors; the closed forms' rational
-weights are converted once per field; generator metadata is kept in
-integer units (ranks, degree and weight units, parity bits).  Each must
+division over its denominators' factors, on int dicts that build no
+sympy element (the sympy view, .raw, must agree with them); the closed
+forms' rational weights are converted once per field; generator
+metadata is kept in integer units (ranks, degree and weight units,
+parity bits).  Each must
 give the very value, rendering and hash of the plain computation (down
 to whole jacobiators and normal forms), and every check built on the
 integer units must still fire, with the same message.
@@ -17,7 +19,9 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy.polys.rings import PolyElement
+from sympy import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.rings import PolyElement, PolyRing
 
 from nlca.algebra import (AlgebraError, Presentation, RGen, apply_T,
                           render_tpoly)
@@ -25,7 +29,7 @@ from nlca.calculus import CalculusError, Engine, _weight
 from nlca.formal import render_lpoly
 from nlca.frontend import load_bundled, parse_scalar, parse_source
 from nlca.pbw import PBWError, Reducer, inversions
-from nlca.scalars import Scalar, affine_split, scalar_field
+from nlca.scalars import Scalar, ScalarError, affine_split, scalar_field
 
 from builders import bundled_names
 from randgen import random_coeff, random_tensor
@@ -222,6 +226,56 @@ def test_no_cancel_with_a_constant_or_two_polynomials(monkeypatch):
     assert cancels(constants, constants[::-1]) > 0
 
 
+SYMPY_BUILDERS = ((PolyElement, "__mul__"), (PolyElement, "__add__"),
+                  (PolyElement, "__sub__"), (PolyRing, "from_dict"),
+                  (FracField, "raw_new"))
+
+
+def test_no_sympy_element_with_a_non_constant_operand(monkeypatch):
+    rng = random.Random(1919)
+    fld = scalar_field(("c", "k"))
+    kinds = {k: [draw(fld, rng, k) for _ in range(20)] for k in KINDS}
+    varying = {id(x) for xs in kinds.values() for x in xs
+               if not (x.raw.numer.is_ground and x.raw.denom.is_ground)}
+    calls = []
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for cls, name in SYMPY_BUILDERS:
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+
+    def builds(xs, ys):
+        """sympy elements built by + - * of pairs with a non-constant
+        operand, and by negations and powers of the non-constant ones."""
+        del calls[:]
+        for x, y in zip(xs, ys):
+            if id(x) in varying or id(y) in varying:
+                x + y, x - y, x * y, y + x, y - x, y * x
+            for z in (x, y):
+                if id(z) in varying:
+                    -z, z ** 0, z ** 1, z ** 2, z ** 3
+        return len(calls)
+
+    constants = kinds["constant"]
+    assert builds(constants, kinds["polynomial"]) == 0
+    assert builds(constants, kinds["rational function"]) == 0
+    assert builds(kinds["polynomial"], kinds["polynomial"][::-1]) == 0
+    assert builds(kinds["polynomial"], kinds["rational function"]) == 0
+    assert builds(kinds["rational function"],
+                  kinds["rational function"][::-1]) == 0
+    # constant by constant keeps sympy's path until the benchmark's
+    # peak_rss_mb stops growing with throughput (ROADMAP item 1)
+    nonzero = [x for x in constants if x]
+    del calls[:]
+    for x, y in zip(nonzero, nonzero[::-1]):
+        x + y, x - y, x * y
+    assert calls
+
+
 # -- rational functions by trial division -------------------------------------
 
 def factor_pool(fld):
@@ -409,6 +463,93 @@ def test_engine_matches_plain_scalar_arithmetic(w3, monkeypatch):
     monkeypatch.setattr(Scalar, "__neg__", lambda x: Scalar(x.field, -x.raw))
     assert w3_renderings(w3, 41) == fast
     assert any("/" in text for text in fast)
+
+
+# -- the sympy boundary -------------------------------------------------------
+
+# w3_ansatz's field: the central charge and five unknowns
+ANSATZ_FIELD = ("c", "alpha", "beta", "gamma", "delta", "epsilon")
+
+
+def plain_poly_str(poly, names):
+    """A sympy polynomial with integer coefficients rendered in the order
+    of its terms(), sympy's graded-lex order, highest first."""
+    out = []
+    for exps, coeff in poly.terms():
+        n = abs(coeff.numerator)
+        mono = "*".join(name if e == 1 else "%s^%d" % (name, e)
+                        for name, e in zip(names, exps) if e)
+        body = mono if mono and n == 1 else (
+            "%d*%s" % (n, mono) if mono else str(n))
+        if not out:
+            out.append(body if coeff > 0 else "-" + body)
+        else:
+            out.append((" - " if coeff < 0 else " + ") + body)
+    return "".join(out) or "0"
+
+
+def plain_str(x):
+    """x rendered from its sympy element."""
+    num, den, names = x.raw.numer, x.raw.denom, x.field.params
+    text = plain_poly_str(num, names)
+    if den == 1:
+        return text
+    if len(num) > 1:
+        text = "(%s)" % text
+    if den.is_ground:
+        return "%s/%d" % (text, den.LC.numerator)
+    return "%s/(%s)" % (text, plain_poly_str(den, names))
+
+
+def plain_evaluate(x, point):
+    """x at point by sympy's evaluation of its numerator and denominator;
+    None where the denominator vanishes."""
+    ring = x.field._field.ring
+    pairs = [(g, QQ(v.numerator, v.denominator))
+             for g, v in zip(ring.gens, point)]
+    num, den = ((p.evaluate(pairs) if pairs else p.coeff(1))
+                for p in (x.raw.numer, x.raw.denom))
+    if not den:
+        return None
+    q = num / den
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def check_sympy_boundary(fld, x, rng):
+    back = Scalar(fld, x.raw)
+    assert_same(back, x)
+    assert str(x) == plain_str(x)
+    assert x.complexity() == len(x.raw.numer) + len(x.raw.denom)
+    for _ in range(3):
+        point = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                 for _ in fld.params]
+        want = plain_evaluate(x, point)
+        if want is None:
+            with pytest.raises(ScalarError):
+                x.evaluate(dict(zip(fld.params, point)))
+        else:
+            assert x.evaluate(dict(zip(fld.params, point))) == want
+
+
+def test_sympy_boundary_matches_the_int_dicts():
+    rng = random.Random(2929)
+    for params in FIELDS + (ANSATZ_FIELD,):
+        fld = scalar_field(params)
+        for kind in KINDS:
+            for _ in range(12):
+                check_sympy_boundary(fld, draw(fld, rng, kind), rng)
+    # a vanishing denominator
+    fld = scalar_field(("c",))
+    c = fld.param("c")
+    with pytest.raises(ScalarError):
+        (1 / (c - 2)).evaluate({"c": 2})
+    # several parameters render in graded-lex order, highest first
+    fld = scalar_field(ANSATZ_FIELD)
+    c, alpha, eps = (fld.param(p) for p in ("c", "alpha", "epsilon"))
+    x = (eps ** 2 + alpha * c - 3 * c + eps) / (alpha + eps * eps)
+    assert str(x) == ("(c*alpha + epsilon^2 - 3*c + epsilon)/"
+                      "(epsilon^2 + alpha)")
+    assert str(x) == plain_str(x)
 
 
 # -- closed-form weights, converted once per field ----------------------------

@@ -1,13 +1,15 @@
 """Reading and writing presentation files."""
 
+import operator
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nlca.algebra import AlgebraError, Presentation
 from nlca.frontend import (MAX_WORD, ParseError, _tokenize, load_bundled,
                            parse_expression, parse_path, parse_scalar,
                            parse_source, render_presentation)
-from nlca.scalars import is_name, scalar_field
+from nlca.scalars import Scalar, is_name, scalar_field
 
 from builders import BUILDERS, bundled_names, same_presentation
 
@@ -273,6 +275,77 @@ def test_fuzz_parse_scalar(text):
         parse_scalar(scalar_field(("a", "c")), text)
     except ParseError:
         pass
+
+
+# Expression trees over Q(c, k): integer literals, parameters, + - * /,
+# unary minus and ^0..^3, rendered with every subexpression in parentheses.
+TREES = st.recursive(
+    st.one_of(st.integers(-30, 30), st.sampled_from(["c", "k"])),
+    lambda sub: st.one_of(st.tuples(st.sampled_from("+-*/"), sub, sub),
+                          st.tuples(st.just("neg"), sub),
+                          st.tuples(st.just("^"), sub, st.integers(0, 3))),
+    max_leaves=8)
+PLAIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv}
+# a bound on each intermediate value's size that keeps every operation the
+# parser checks below MAX_SCALAR_SIZE (31 * 31 < 1000)
+TREE_SIZE = 31
+
+
+def render_tree(t):
+    if isinstance(t, int):
+        return str(t) if t >= 0 else "(%d)" % t
+    if isinstance(t, str):
+        return t
+    if t[0] == "neg":
+        return "(-%s)" % render_tree(t[1])
+    if t[0] == "^":
+        return "%s^%d" % (render_tree(t[1]) if isinstance(t[1], str)
+                          else "(%s)" % render_tree(t[1]), t[2])
+    return "(%s %s %s)" % (render_tree(t[1]), t[0], render_tree(t[2]))
+
+
+def plain_tree(fld, t, sizes):
+    """t by sympy's operators on the fields' elements; the size of every
+    intermediate value goes to sizes."""
+    if isinstance(t, int):
+        out = fld.convert(t).raw
+    elif isinstance(t, str):
+        out = fld.param(t).raw
+    elif t[0] == "neg":
+        out = -plain_tree(fld, t[1], sizes)
+    elif t[0] == "^":
+        base = plain_tree(fld, t[1], sizes)
+        out = fld.one.raw
+        for _ in range(t[2]):
+            out = out * base
+            sizes.append(len(out.numer) + len(out.denom))
+    else:
+        out = PLAIN_OPS[t[0]](plain_tree(fld, t[1], sizes),
+                              plain_tree(fld, t[2], sizes))
+    sizes.append(len(out.numer) + len(out.denom))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREES)
+def test_fuzz_parse_scalar_trees_match_plain_arithmetic(tree):
+    fld = scalar_field(("c", "k"))
+    text = render_tree(tree)
+    sizes = []
+    try:
+        want = Scalar(fld, plain_tree(fld, tree, sizes))
+    except ZeroDivisionError:
+        assume(max(sizes, default=0) <= TREE_SIZE)
+        with pytest.raises(ParseError) as info:
+            parse_scalar(fld, text)
+        assert "division by zero" in str(info.value)
+        return
+    assume(max(sizes) <= TREE_SIZE)
+    got = parse_scalar(fld, text)
+    assert got == want
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -47,6 +47,27 @@ def test_canonicalize_polynomial_gcd(Qc):
     assert hash(x) == hash(expect)
 
 
+def test_constants_hash_as_the_numbers_they_equal():
+    # equal objects hash equal: a constant Scalar equals its int or Fraction
+    for params in ((), ("c",), ("c", "k")):
+        fld = scalar_field(params)
+        numbers = [0, 1, -1, 3, -64, 65, 10 ** 40, Fraction(1, 2),
+                   Fraction(-22, 5), Fraction(7, 10 ** 30)]
+        for q in numbers:
+            x = fld.convert(q)
+            assert x == q and hash(x) == hash(q)
+            assert {x: "entry"}.get(q) == "entry"
+            assert {q: "entry"}.get(x) == "entry"
+        assert len({fld.zero, 0}) == 1
+        assert len({fld.one, 1, Fraction(1)}) == 1
+        if params:
+            c = fld.param("c")
+            # constants that arithmetic with a parameter collapses to
+            for x, q in ((c - c, 0), (c / c, 1), ((c + 5) - c, 5),
+                         ((3 * c + 3) / (2 * c + 2), Fraction(3, 2))):
+                assert x == q and hash(x) == hash(q)
+
+
 def test_canonical_form_unique_randomized(Qc):
     # same value built two ways must be structurally identical
     rng = random.Random(20230817)
