@@ -9,7 +9,7 @@ structure constants, and a small text format with a CLI.
 
 from .algebra import (AlgebraError, GeneratorDecl, Presentation, RGen, TPoly,
                       apply_T, render_tmono, render_tpoly)
-from .ansatz import AnsatzError, extract_system, solve_and_substitute
+from .ansatz import AnsatzError, extract_system, solve, solve_and_substitute
 from .calculus import CalculusError, Engine
 from .formal import LPoly, render_lpoly
 from .frontend import (ParseError, load_bundled, parse_expression, parse_path,
@@ -29,5 +29,5 @@ __all__ = [
     "inversions", "is_normally_ordered", "load_bundled", "nullspace",
     "parse_expression", "parse_path", "parse_scalar", "parse_source",
     "render_lpoly", "render_presentation", "render_tmono", "render_tpoly",
-    "run_all", "scalar_field", "solve_and_substitute",
+    "run_all", "scalar_field", "solve", "solve_and_substitute",
 ]

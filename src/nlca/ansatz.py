@@ -6,12 +6,20 @@ reduced to the PBW basis, becomes a linear system over Q(params): one
 equation per (lambda-power, basis monomial) pair.  A one-dimensional
 solution space plus one pinned unknown determines all the others; the
 solved table is substituted back and fully re-verified.
+
+`solve` imposes the sorted triples (i <= j <= k) first and keeps their
+solution if it verifies: every triple's rows then hold on it, so it is the
+all-triples solution, with the same normalization.  Otherwise it solves on
+all triples.  One outcome differs from solving on all triples at once: an
+all-triples system with inhomogeneous rows whose sorted triples give a
+verified solution is solved, not refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .algebra import Presentation, TPoly
 from .calculus import Engine
@@ -24,6 +32,14 @@ from .verify import Report, all_triples, run_all
 
 class AnsatzError(Exception):
     pass
+
+
+def _check_table(pres: Presentation) -> None:
+    if not pres.unknowns:
+        raise AnsatzError("presentation declares no unknowns")
+    violations = pres.validate()
+    if violations:
+        raise AnsatzError("invalid presentation: %s" % violations[0])
 
 
 def extract_system(pres: Presentation, triples=None,
@@ -39,11 +55,7 @@ def extract_system(pres: Presentation, triples=None,
     otherwise it is left out and appended to `skipped`, to be covered by
     the full verification after substitution.
     """
-    if not pres.unknowns:
-        raise AnsatzError("presentation declares no unknowns")
-    violations = pres.validate()
-    if violations:
-        raise AnsatzError("invalid presentation: %s" % violations[0])
+    _check_table(pres)
     engine = Engine(pres)
     reducer = Reducer(engine)
     if triples is None:
@@ -95,6 +107,22 @@ class SolveResult:
     report: Report
 
 
+def _pin_value(field, unknowns, pin) -> Scalar:
+    name, val = pin
+    if name not in unknowns:
+        raise AnsatzError("%r is not an unknown of the system" % (name,))
+    if isinstance(val, str):
+        val = parse_scalar(field, val, "<pin>")
+    elif isinstance(val, (int, Fraction, Scalar)):
+        val = field.convert(val)
+    else:
+        raise AnsatzError("cannot interpret pin value %r" % (val,))
+    if val.is_zero:
+        raise AnsatzError("pinning %s to 0 gives only the zero solution"
+                          % (name,))
+    return val
+
+
 def solve_and_substitute(pres: Presentation, system: LinearSystem,
                          pin: tuple) -> SolveResult:
     """Solve a one-dimensional system by pinning one unknown's value.
@@ -104,19 +132,8 @@ def solve_and_substitute(pres: Presentation, system: LinearSystem,
     (a bad one raises ParseError with `<pin>` locations).  A zero value is
     refused, as it selects the zero solution.
     """
-    name, val = pin
-    if name not in system.unknowns:
-        raise AnsatzError("%r is not an unknown of the system" % (name,))
-    target = system.field
-    if isinstance(val, str):
-        val = parse_scalar(target, val, "<pin>")
-    elif isinstance(val, (int, Fraction, Scalar)):
-        val = target.convert(val)
-    else:
-        raise AnsatzError("cannot interpret pin value %r" % (val,))
-    if val.is_zero:
-        raise AnsatzError("pinning %s to 0 gives only the zero solution"
-                          % (name,))
+    name = pin[0]
+    val = _pin_value(system.field, system.unknowns, pin)
     if not system.is_homogeneous():
         raise AnsatzError("system has inhomogeneous rows")
     basis = nullspace(system)
@@ -137,3 +154,30 @@ def solve_and_substitute(pres: Presentation, system: LinearSystem,
     solved = substitute_unknowns(pres, values)
     report = run_all(solved)
     return SolveResult(values, solved, report)
+
+
+def solve(pres: Presentation, pin: tuple,
+          skipped: list | None = None) -> SolveResult:
+    """Solve on the sorted triples; if they give no verified solution,
+    return or raise what solve_and_substitute does on all triples.
+
+    The table and the pin are checked first, as extract_system and
+    solve_and_substitute check them.  Non-affine triples among those
+    imposed are appended to `skipped`.
+    """
+    _check_table(pres)
+    pin = (pin[0], _pin_value(scalar_field(pres.params), pres.unknowns, pin))
+    found = []
+    system = extract_system(pres, list(combinations_with_replacement(
+        [g.name for g in pres.generators], 3)), skipped=found)
+    try:
+        res = solve_and_substitute(pres, system, pin)
+    except AnsatzError:
+        res = None
+    if res is None or not res.report.ok:
+        found = []
+        res = solve_and_substitute(
+            pres, extract_system(pres, skipped=found), pin)
+    if skipped is not None:
+        skipped.extend(found)
+    return res

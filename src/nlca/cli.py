@@ -10,7 +10,8 @@ import sys
 from fractions import Fraction
 
 from .algebra import AlgebraError, render_tmono, render_tpoly
-from .ansatz import AnsatzError, extract_system, solve_and_substitute
+from .ansatz import (AnsatzError, extract_system, solve,
+                     solve_and_substitute)
 from .calculus import CacheLimitError, CalculusError, Engine
 from .formal import render_lpoly
 from .frontend import (MAX_DIGITS, ParseError, parse_expression, parse_path,
@@ -160,9 +161,9 @@ def _cmd_solve(args):
     if args.triples is not None:
         system = extract_system(pres,
                                 triples=_parse_triples(args.triples, pres))
+        res = solve_and_substitute(pres, system, pin=(pin_name, pin_val))
     else:
-        system = extract_system(pres, skipped=skipped)
-    res = solve_and_substitute(pres, system, pin=(pin_name, pin_val))
+        res = solve(pres, (pin_name, pin_val), skipped)
     if args.json:
         _emit({"presentation": pres.name,
                "values": {u: str(res.values[u]) for u in pres.unknowns},
@@ -213,8 +214,9 @@ def _build_parser():
     p.add_argument("--pin", required=True, metavar="NAME=VALUE",
                    help="normalize the solution line")
     p.add_argument("--triples", metavar="A,B,C[;A,B,C...]",
-                   help="impose only these jacobiators (default: all, "
-                        "skipping non-affine ones)")
+                   help="impose only these jacobiators (default: the "
+                        "sorted triples, then all if they give no verified "
+                        "solution; non-affine ones skipped)")
     return parser
 
 

@@ -1,6 +1,7 @@
 """Reading and writing presentation files."""
 
 import operator
+from importlib.resources import files
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -356,3 +357,39 @@ def test_fuzz_bracket_right_hand_side(text):
                      + "bracket [L,L] = " + text + ";\n")
     except ParseError:
         pass
+
+
+# Bundled tables with runs of one to four tokens deleted or duplicated, or
+# two tokens swapped: every mutant stays within the MAX_* limits the
+# originals keep.
+BUNDLED_TOKENS = {
+    name: [t.text for t in _tokenize(
+        (files("nlca") / "algebras" / (name + ".nlca"))
+        .read_text(encoding="utf-8"), name, [])[:-1]]
+    for name in bundled_names()}
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["delete", "duplicate", "swap"]),
+              st.integers(0, 999), st.integers(0, 999), st.integers(1, 4)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(BUNDLED_TOKENS)), MUTATIONS)
+def test_fuzz_mutated_bundled_tables(name, mutations):
+    toks = list(BUNDLED_TOKENS[name])
+    for kind, i, j, n in mutations:
+        if not toks:
+            break
+        i, j = i % len(toks), j % len(toks)
+        if kind == "delete":
+            del toks[i:i + n]
+        elif kind == "duplicate":
+            toks[i:i] = toks[i:i + n]
+        else:
+            toks[i], toks[j] = toks[j], toks[i]
+    try:
+        pres = parse_source(" ".join(toks))
+    except ParseError:
+        return
+    # what parses renders to a file that parses back to it
+    assert same_presentation(parse_source(render_presentation(pres)), pres)
