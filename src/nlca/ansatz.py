@@ -159,7 +159,8 @@ def solve_and_substitute(pres: Presentation, system: LinearSystem,
 def solve(pres: Presentation, pin: tuple,
           skipped: list | None = None) -> SolveResult:
     """Solve on the sorted triples; if they give no verified solution,
-    return or raise what solve_and_substitute does on all triples.
+    return or raise what solve_and_substitute does on all triples, whose
+    system is the sorted triples' rows plus those of the other triples.
 
     The table and the pin are checked first, as extract_system and
     solve_and_substitute check them.  Non-affine triples among those
@@ -168,16 +169,24 @@ def solve(pres: Presentation, pin: tuple,
     _check_table(pres)
     pin = (pin[0], _pin_value(scalar_field(pres.params), pres.unknowns, pin))
     found = []
-    system = extract_system(pres, list(combinations_with_replacement(
-        [g.name for g in pres.generators], 3)), skipped=found)
+    sorted_triples = list(combinations_with_replacement(
+        [g.name for g in pres.generators], 3))
+    system = extract_system(pres, sorted_triples, skipped=found)
     try:
         res = solve_and_substitute(pres, system, pin)
     except AnsatzError:
         res = None
     if res is None or not res.report.ok:
-        found = []
-        res = solve_and_substitute(
-            pres, extract_system(pres, skipped=found), pin)
+        # keep the sorted triples' rows and add the other triples'; list
+        # the skipped triples in all_triples order, as extract_system does
+        triples, done = all_triples(pres), set(sorted_triples)
+        rest = extract_system(pres, [t for t in triples if t not in done],
+                              skipped=found)
+        rest.rows += system.rows
+        rest.sort_rows()
+        skip = set(found)
+        found = [t for t in triples if t in skip]
+        res = solve_and_substitute(pres, rest, pin)
     if skipped is not None:
         skipped.extend(found)
     return res

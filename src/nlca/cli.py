@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 failed checks or an unusable solution space,
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -180,7 +181,10 @@ def _cmd_solve(args):
     return 0 if res.report.ok else 1
 
 
+@functools.cache
 def _build_parser():
+    """The command line parser, built on the first call: parse_args leaves
+    it unchanged, so every later call of main reuses it."""
     parser = argparse.ArgumentParser(
         prog="nlca",
         description="Symbolic engine for lambda-bracket algebras and their "
@@ -221,9 +225,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:

@@ -19,10 +19,12 @@ field, and constant by constant goes through sympy's own operators, which
 reach the canonical form with `cancel`, a polynomial gcd.  Every other
 Scalar keeps N and D as dicts {exponent tuple: int} and its denominator's
 irreducible factors over Q, each a hashable int dict with its leading
-term split off (Scalar._facs).  sympy's factor_list runs once for a
-denominator that enters from outside this arithmetic: the divisor's
-numerator in a quotient (so parsing, a pin, a nullspace pivot), or the
-denominator of a Scalar built from a sympy element, when first needed.
+term split off (Scalar._facs).  A denominator that enters from outside
+this arithmetic is factored once: the divisor's numerator in a quotient
+(so parsing, a pin, a nullspace pivot), or the denominator of a Scalar
+built from a sympy element, when first needed.  One of total degree 1 is
+irreducible and is its own factor; any other goes through sympy's
+factor_list.
 Every sum, difference, product, negation and power with a non-constant
 operand runs on Python ints and carries the factors forward.  For
 canonical operands, a common factor of the new numerator and denominator
@@ -402,17 +404,22 @@ def _factors(x: Scalar) -> tuple:
 
 
 def _factor(fld: ScalarField, den: dict) -> tuple:
-    """den's factors as _factors gives them, by sympy's factor_list."""
+    """den's factors as _factors gives them: den's primitive part if den
+    has total degree 1, so is irreducible, else by sympy's factor_list."""
     if _is_ground(fld, den):
         return ()
-    out = []
-    for f, e in fld._field.ring.from_dict(den).factor_list()[1]:
-        ints = _int_dict(f.clear_denoms()[1])
-        g = gcd(*ints.values())
-        if ints[_lead(fld, ints)] < 0:
-            g = -g
-        out.append((_Factor(fld, {m: c // g for m, c in ints.items()}), e))
-    return tuple(out)
+    if all(sum(m) <= 1 for m in den):
+        return ((_primitive(fld, den), 1),)
+    return tuple((_primitive(fld, _int_dict(f.clear_denoms()[1])), e)
+                 for f, e in fld._field.ring.from_dict(den).factor_list()[1])
+
+
+def _primitive(fld: ScalarField, ints: dict) -> _Factor:
+    """The primitive part of ints with a positive leading coefficient."""
+    g = gcd(*ints.values())
+    if ints[_lead(fld, ints)] < 0:
+        g = -g
+    return _Factor(fld, {m: c // g for m, c in ints.items()})
 
 
 def _exquo(fld: ScalarField, p: dict, f: _Factor):

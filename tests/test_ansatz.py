@@ -285,9 +285,44 @@ def test_staged_solve_imposes_the_sorted_triples_only(monkeypatch):
 
 
 def test_unsolved_tables_pay_for_both_stages(monkeypatch):
-    # four sorted triples, then all eight
+    # four sorted triples, then the four others: the second stage keeps
+    # the first stage's rows
     assert count_solve(monkeypatch, parse_source(ZERO_TEXT),
-                       ("u", 1)) == (12, [2, 4])
+                       ("u", 1)) == (8, [2, 4])
+
+
+@pytest.mark.parametrize("table, pin, solved", [
+    ("w3_ansatz", ("delta", "1/6"), True),
+    ("w3_ansatz", ("beta", 1), False),
+    ("sl2", ("u", 2), False),
+    ("zero", ("u", 1), False),
+])
+def test_the_second_stage_system_is_the_all_triples_system(
+        monkeypatch, table, pin, solved):
+    # the first stage's report is failed, so every table reaches the second
+    # stage; w3_ansatz at delta = 1/6 then solves, with (W, W, W) skipped
+    pres = {"w3_ansatz": lambda: load_bundled("w3_ansatz"),
+            "sl2": lambda: parse_source(SL2_TEXT),
+            "zero": lambda: parse_source(ZERO_TEXT)}[table]()
+    systems, plain = [], solve_and_substitute
+
+    def recorded(pres, system, pin):
+        systems.append(system)
+        res = plain(pres, system, pin)
+        if len(systems) == 1:
+            res.report.results[-1].status = "fail"
+        return res
+    monkeypatch.setattr(ansatz, "solve_and_substitute", recorded)
+    skipped, expected = [], []
+    full = extract_system(pres, skipped=expected)
+    if solved:
+        solve(pres, pin, skipped)
+        assert skipped == expected == [("W", "W", "W")]
+    else:
+        with pytest.raises(AnsatzError):
+            solve(pres, pin, skipped)
+    assert len(systems) == 2
+    assert systems[1].rows == full.rows
 
 
 def test_an_unverified_first_stage_falls_back(monkeypatch):

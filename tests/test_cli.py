@@ -12,7 +12,7 @@ from pathlib import Path
 
 import nlca
 from nlca.algebra import Presentation
-from nlca.cli import main
+from nlca.cli import _build_parser, main
 from nlca.formal import render_lpoly
 from nlca.frontend import MAX_WORD, parse_expression, render_presentation
 
@@ -594,6 +594,39 @@ def test_usage_and_input_errors(tmp_path, capsys):
     code, out, err = run(capsys, ["solve", bundled_path("w3_ansatz")])
     assert code == 2
     assert "--pin" in err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, tmp_path):
+    # calls in one process print what a fresh interpreter, or the golden
+    # file, prints, and the argument parser is built once
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = tmp_path / "bad.nlca"
+    bad.write_text("generator;\n")
+    calls = [
+        (["check", bundled_path("w3"), "--bogus"], None),
+        (["check", str(bad)], None),
+        (["check", bundled_path("w3"), "--json"], "check_w3.json"),
+        (["character", bundled_path("virasoro"), "--max-weight", "10"],
+         None),
+        (["solve", bundled_path("w3_ansatz"), "--pin", "delta=1/6",
+          "--json"], "solve_w3_ansatz.json"),
+    ]
+    _build_parser.cache_clear()
+    got = [run(capsys, argv) for argv, _ in calls]
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in got] == [2, 2, 0, 0, 0]
+    assert got[0][2].startswith("usage: nlca ")
+    assert got[0][2].endswith("unrecognized arguments: --bogus\n")
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+    for (argv, golden), result in zip(calls, got):
+        if golden:
+            want = (0, (GOLDEN / golden).read_text(), "")
+        else:
+            proc = subprocess.run([sys.executable, "-m", "nlca"] + argv,
+                                  capture_output=True, text=True, env=env)
+            want = (proc.returncode, proc.stdout, proc.stderr)
+        assert result == want, argv
 
 
 def test_character_work_limit(capsys, tmp_path):

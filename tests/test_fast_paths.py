@@ -3,11 +3,11 @@
 Scalar products with ±1 skip sympy's cancel, and every other sum,
 product and quotient with a non-constant operand is reduced by trial
 division over its denominators' factors, on int dicts that build no
-sympy element (the sympy view, .raw, must agree with them); the closed
-forms' rational weights are converted once per field; generator
-metadata is kept in integer units (ranks, degree and weight units,
-parity bits).  Each must
-give the very value, rendering and hash of the plain computation (down
+sympy element (the sympy view, .raw, must agree with them); a
+denominator of total degree 1 is its own factor, without sympy's
+factor_list; the closed forms' rational weights are converted once per
+field; generator metadata is kept in integer units (ranks, degree and
+weight units, parity bits).  Each must give the very value, rendering and hash of the plain computation (down
 to whole jacobiators and normal forms), and every check built on the
 integer units must still fire, with the same message.
 """
@@ -16,6 +16,8 @@ import operator
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +29,10 @@ from nlca.algebra import (AlgebraError, Presentation, RGen, apply_T,
                           render_tpoly)
 from nlca.calculus import CalculusError, Engine, _weight
 from nlca.formal import render_lpoly
-from nlca.frontend import load_bundled, parse_scalar, parse_source
+from nlca.frontend import load_bundled, parse_path, parse_scalar, parse_source
 from nlca.pbw import PBWError, Reducer, inversions
-from nlca.scalars import Scalar, ScalarError, affine_split, scalar_field
+from nlca.scalars import (Scalar, ScalarError, _factor, affine_split,
+                          scalar_field)
 
 from builders import bundled_names
 from randgen import random_coeff, random_tensor
@@ -463,6 +466,77 @@ def test_engine_matches_plain_scalar_arithmetic(w3, monkeypatch):
     monkeypatch.setattr(Scalar, "__neg__", lambda x: Scalar(x.field, -x.raw))
     assert w3_renderings(w3, 41) == fast
     assert any("/" in text for text in fast)
+
+
+# -- denominators of total degree 1, without factor_list ----------------------
+
+def plain_factor(fld, den):
+    """den's factors by sympy's factor_list, each primitive with a positive
+    graded-lex leading coefficient, as ((int dict, exponent), ...)."""
+    out = []
+    for f, e in fld._field.ring.from_dict(den).factor_list()[1]:
+        ints = {m: int(c.numerator) for m, c in f.clear_denoms()[1].items()}
+        g = gcd(*ints.values())
+        if ints[max(ints, key=lambda m: (sum(m), m))] < 0:
+            g = -g
+        out.append(({m: c // g for m, c in ints.items()}, e))
+    return out
+
+
+def linear_polynomial(fld, rng):
+    """A seeded int dict of total degree 1 in fld's parameters: an integer
+    content up to 6 times a primitive part of either sign, with a constant
+    term that is sometimes zero."""
+    n = len(fld.params)
+    while True:
+        terms = {}
+        for i in range(n):
+            c = rng.choice([0, 0] + list(range(-9, 10)))
+            if c:
+                terms[tuple(int(j == i) for j in range(n))] = c
+        if terms:
+            break
+    if rng.random() < 0.7:
+        terms[(0,) * n] = rng.randrange(-30, 31) or 1
+    k = rng.randrange(1, 7) * rng.choice((1, -1))
+    return {m: c * k for m, c in terms.items()}
+
+
+def test_linear_denominators_match_factor_list():
+    rng = random.Random(3131)
+    fixed = {("c",): [{(1,): 5, (0,): 22}, {(1,): 15, (0,): 66},
+                      {(1,): -5, (0,): -22}, {(1,): 3}, {(1,): -1}],
+             ("a", "b"): [{(1, 0): 2, (0, 1): -3, (0, 0): 6},
+                          {(0, 1): -4, (0, 0): 8}, {(1, 0): -6, (0, 1): 9}],
+             ("a", "b", "k"): [{(0, 0, 1): 7, (1, 0, 0): -7},
+                               {(0, 1, 0): 2, (0, 0, 1): 4, (0, 0, 0): -6}]}
+    for params, cases in fixed.items():
+        fld = scalar_field(params)
+        for den in cases + [linear_polynomial(fld, rng) for _ in range(40)]:
+            got = [(dict(f), e) for f, e in _factor(fld, den)]
+            assert got == plain_factor(fld, den), (params, den)
+
+
+def test_bundled_and_bench_tables_parse_without_factor_list(monkeypatch):
+    calls = []
+    factor_list = PolyElement.factor_list
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return factor_list(self, *args, **kwargs)
+    monkeypatch.setattr(PolyElement, "factor_list", counting)
+    for name in bundled_names():
+        load_bundled(name)
+    inputs = sorted((Path(__file__).resolve().parent.parent / "bench"
+                     / "inputs").glob("*.nlca"))
+    assert inputs
+    for path in inputs:
+        parse_path(path)
+    assert calls == []
+    # a quadratic denominator still goes through factor_list
+    fld = scalar_field(("c",))
+    assert str(parse_scalar(fld, "1/(c^2 + 1)")) == "1/(c^2 + 1)"
+    assert len(calls) == 1
 
 
 # -- the sympy boundary -------------------------------------------------------
