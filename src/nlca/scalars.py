@@ -15,9 +15,11 @@ this module; text is read by frontend.parse_scalar, in the grammar of the
 file format.
 
 A constant is backed by an element of sympy's sparse rational function
-field, and constant by constant goes through sympy's own operators, which
-reach the canonical form with `cancel`, a polynomial gcd.  Every other
-Scalar keeps N and D as dicts {exponent tuple: int} and its denominator's
+field, with its integer numerator and positive integer denominator built
+directly, as `cancel` would give them (_const).  A product or quotient
+of two constants goes through sympy's own operators, which reach the
+canonical form with `cancel`, a polynomial gcd.  A non-constant Scalar
+keeps N and D as dicts {exponent tuple: int} and its denominator's
 irreducible factors over Q, each a hashable int dict with its leading
 term split off (Scalar._facs).  A denominator that enters from outside
 this arithmetic is factored once: the divisor's numerator in a quotient
@@ -25,13 +27,14 @@ this arithmetic is factored once: the divisor's numerator in a quotient
 built from a sympy element, when first needed.  One of total degree 1 is
 irreducible and is its own factor; any other goes through sympy's
 factor_list.
-Every sum, difference, product, negation and power with a non-constant
-operand runs on Python ints and carries the factors forward.  For
-canonical operands, a common factor of the new numerator and denominator
-is one of those factors, so trial division by them, then by the integer
-contents, gives the canonical form with no gcd.  A product with ±1 is
-the other operand or its negation.  A quotient is a product with the
-inverse, whose denominator is the divisor's numerator, factored there.
+Every sum and difference, and every product, negation and power with a
+non-constant operand, runs on Python ints and carries the factors
+forward (a constant has none).  For canonical operands, a common factor
+of the new numerator and denominator is one of those factors, so trial
+division by them, then by the integer contents, gives the canonical
+form with no gcd.  A product with ±1 is the other operand or its
+negation.  A quotient is a product with the inverse, whose denominator
+is the divisor's numerator, factored there.
 
 Scalar.raw is the sympy element of any Scalar, built on first use for a
 non-constant one, and Scalar(field, element) wraps a canonical sympy
@@ -104,7 +107,8 @@ class ScalarField:
         self.zero = _constant(self, self._field.zero)
         self.one = _constant(self, one)
         self.minus_one = _constant(self, self._minus_one)
-        self._ints: dict[int, Scalar] = {1: self.one, -1: self.minus_one}
+        self._ints: dict[int, Scalar] = {0: self.zero, 1: self.one,
+                                         -1: self.minus_one}
 
     def __repr__(self):
         return "ScalarField(%s)" % (", ".join(self.params) or "Q")
@@ -125,17 +129,9 @@ class ScalarField:
         if isinstance(x, int):
             # ints must become ground elements up front: sympy's zero fast
             # paths would otherwise leak bare ints into later arithmetic
-            s = self._ints.get(x)
-            if s is None:
-                s = _constant(self, self._field.ground_new(QQ(x)))
-                if -64 <= x <= 64:
-                    self._ints[x] = s
-            return s
+            return _const(self, x, 1)
         if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return self._coerce(x.numerator)
-            return _constant(self, self._field.ground_new(
-                QQ(x.numerator, x.denominator)))
+            return _const(self, x.numerator, x.denominator)
         return None
 
     def convert(self, x) -> "Scalar":
@@ -288,10 +284,18 @@ def _new(fld: ScalarField, num: dict, den: dict, facs) -> Scalar:
 
 
 def _const(fld: ScalarField, n: int, d: int) -> Scalar:
-    """The constant n/d, for coprime n and d > 0."""
+    """The constant n/d, for coprime n and d > 0: the element `cancel`
+    would give, built without it, and cached for an int in [-64, 64]."""
     if d == 1:
-        return fld._coerce(n)
-    return _constant(fld, fld._field.ground_new(QQ(n, d)))
+        s = fld._ints.get(n)
+        if s is not None:
+            return s
+    # PolyElement.new skips ring.ground_new's domain conversion
+    poly, zm, q = fld._one.numer.new, fld._zm, QQ.dtype
+    s = _constant(fld, fld._field.raw_new(poly({zm: q(n)}), poly({zm: q(d)})))
+    if d == 1 and -64 <= n <= 64:
+        fld._ints[n] = s
+    return s
 
 
 def _int_dict(poly) -> dict:
@@ -480,9 +484,6 @@ def _sum(x: Scalar, y: Scalar, sign: int) -> Scalar:
         return x
     if not x:
         return y if sign > 0 else _negate(y)
-    if x._num is None and y._num is None:
-        a, b = x._raw, y._raw
-        return _constant(fld, a + b if sign > 0 else a - b)
     (an, ad), (bn, bd) = _dicts(x), _dicts(y)
     fa, fb = _factors(x), _factors(y)
     if sign < 0:

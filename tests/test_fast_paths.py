@@ -1,15 +1,18 @@
 """Differential tests: each exact shortcut against the plain path.
 
-Scalar products with ±1 skip sympy's cancel, and every other sum,
-product and quotient with a non-constant operand is reduced by trial
-division over its denominators' factors, on int dicts that build no
-sympy element (the sympy view, .raw, must agree with them); a
-denominator of total degree 1 is its own factor, without sympy's
-factor_list; the closed forms' rational weights are converted once per
-field; generator metadata is kept in integer units (ranks, degree and
-weight units, parity bits).  Each must give the very value, rendering and hash of the plain computation (down
-to whole jacobiators and normal forms), and every check built on the
-integer units must still fire, with the same message.
+Scalar products with ±1 skip sympy's cancel; every sum and difference,
+and every product and quotient with a non-constant operand, is reduced
+by trial division over its denominators' factors, on int dicts that
+build no sympy element for a non-constant result (the sympy view, .raw,
+must agree with them); a constant is built as the element cancel gives,
+without it, and only products and quotients of two constants keep
+sympy's cancel; a denominator of total degree 1 is its own factor,
+without sympy's factor_list; the closed forms' rational weights are
+converted once per field; generator metadata is kept in integer units
+(ranks, degree and weight units, parity bits).  Each must give the very
+value, rendering and hash of the plain computation (down to whole
+jacobiators and normal forms), and every check built on the integer
+units must still fire, with the same message.
 """
 
 import operator
@@ -31,8 +34,8 @@ from nlca.calculus import CalculusError, Engine, _weight
 from nlca.formal import render_lpoly
 from nlca.frontend import load_bundled, parse_path, parse_scalar, parse_source
 from nlca.pbw import PBWError, Reducer, inversions
-from nlca.scalars import (Scalar, ScalarError, _factor, affine_split,
-                          scalar_field)
+from nlca.scalars import (Scalar, ScalarError, _factor, _fmt_q,
+                          affine_split, scalar_field)
 
 from builders import bundled_names
 from randgen import random_coeff, random_tensor
@@ -113,6 +116,26 @@ def test_unit_constants_are_cached():
         assert -fld.one is fld.minus_one
         assert -fld.minus_one is fld.one
         assert str(fld.minus_one) == "-1"
+        assert fld.convert(0) is fld.zero
+        # a constant sum equal to 0 or ±1 is the cached object, so later
+        # products with it keep the ±1 shortcut
+        third = fld.convert(Fraction(1, 3))
+        for got, want in ((third + Fraction(2, 3), fld.one),
+                          (Fraction(2, 3) + third, fld.one),
+                          (-third - Fraction(2, 3), fld.minus_one),
+                          (Fraction(-4, 3) + third, fld.minus_one),
+                          (third - Fraction(1, 3), fld.zero),
+                          (third + Fraction(-1, 3), fld.zero)):
+            assert got is want
+        # built without cancel, a constant is the element cancel gives
+        for v in (0, 1, -1, 64, -64, 65, -65, 2 ** 70, Fraction(3, 4),
+                  Fraction(-5, 6)):
+            v = Fraction(v)
+            got = fld.convert(v).raw
+            want = fld._field.ground_new(QQ(v.numerator, v.denominator))
+            assert dict(got.numer) == dict(want.numer)
+            assert dict(got.denom) == dict(want.denom)
+            assert got == want
 
 
 # -- sums and products with a constant, or of two polynomials ---------------
@@ -175,8 +198,23 @@ def test_sums_and_products_edge_cases():
     pairs += [(x, fld.convert(q)) for x, q in ((f, Fraction(4, 3)),
                                                (f, Fraction(5, 6)),
                                                (p, Fraction(4, 3)))]
+    # constants: numerators past 2^64, one of 5,000 digits (first, since
+    # Fraction(str(...)) cannot read it back), sums equal to 0, ±1 and 65
+    big, huge = Fraction(2 ** 70 + 1, 3), Fraction(10 ** 4999 + 1, 3)
+    constants = [(big, Fraction(-2 ** 66, 7)), (big, -big), (huge, -big),
+                 (huge, Fraction(2, 3)), (Fraction(1, 3), Fraction(2, 3)),
+                 (Fraction(-1, 2), Fraction(-1, 2)),
+                 (Fraction(131, 2), Fraction(-1, 2)),
+                 (Fraction(64), Fraction(1)), (Fraction(66), Fraction(-1))]
+    pairs += [(fld.convert(q), fld.convert(r)) for q, r in constants]
     for x, y in pairs:
         check_sums_and_products(fld, x, y)
+    for x, y in constants:
+        got, want = fld.convert(x) + y, x + y
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == _fmt_q(want)
+    assert str(fld.convert(huge) + Fraction(2, 3)) == (
+        "1" + "0" * 4998 + "3/3")
     for got, want in ((c + (-c), "0"), (c + (1 - c), "1"),
                       (p + (5 - c) / 6, "1"), (p - p, "0"),
                       (p + p, "(c + 1)/3"), (p + 3 * c - 1, "(19*c - 5)/6"),
@@ -210,6 +248,15 @@ def test_no_cancel_with_a_constant_or_two_polynomials(monkeypatch):
         return len(calls)
 
     constants = [x for x in kinds["constant"] if x]
+    # sums and differences of two constants, and constants built from
+    # uncached ints and from Fractions
+    del calls[:]
+    for x, y in zip(constants, constants[::-1]):
+        x + y, x - y, y + x, y - x
+    for v in (65, -65, 2 ** 70, Fraction(3, 4), Fraction(-5, 6),
+              Fraction(2 ** 70 + 1, 3)):
+        fld.convert(v)
+    assert len(calls) == 0
     # (a) a nonzero constant with a non-constant operand
     assert cancels(constants, kinds["polynomial"]) == 0
     assert cancels(constants, kinds["rational function"]) == 0
@@ -224,9 +271,14 @@ def test_no_cancel_with_a_constant_or_two_polynomials(monkeypatch):
         x / y, y / x
         x / constants[0], constants[0] / x
     assert len(calls) == 0
-    # constant by constant keeps sympy's path until the benchmark's
-    # peak_rss_mb stops growing with throughput (ROADMAP item 1)
-    assert cancels(constants, constants[::-1]) > 0
+    # products and quotients of two constants keep sympy's path until the
+    # benchmark's peak_rss_mb stops growing with throughput (ROADMAP
+    # item 1)
+    for op in (operator.mul, operator.truediv):
+        del calls[:]
+        for x, y in zip(constants, constants[::-1]):
+            op(x, y)
+        assert len(calls) > 0
 
 
 SYMPY_BUILDERS = ((PolyElement, "__mul__"), (PolyElement, "__add__"),
@@ -270,8 +322,9 @@ def test_no_sympy_element_with_a_non_constant_operand(monkeypatch):
     assert builds(kinds["polynomial"], kinds["rational function"]) == 0
     assert builds(kinds["rational function"],
                   kinds["rational function"][::-1]) == 0
-    # constant by constant keeps sympy's path until the benchmark's
-    # peak_rss_mb stops growing with throughput (ROADMAP item 1)
+    # a constant is still a sympy element, and products of two constants
+    # keep sympy's path until the benchmark's peak_rss_mb stops growing
+    # with throughput (ROADMAP item 1)
     nonzero = [x for x in constants if x]
     del calls[:]
     for x, y in zip(nonzero, nonzero[::-1]):
