@@ -289,20 +289,32 @@ class Engine:
                         self.pres.field, s, _beta(n, m).denominator))
 
     def _jac_mono(self, A: TMono, B: TMono, C: TMono) -> dict:
+        """The jacobiator of three monomials as {(i, j): term dict}, the
+        lambda^i mu^j coefficients.  When A == B the second term,
+        -p(A,A) P_mu(A, P_lambda(A,C)), is the first with lambda and mu
+        exchanged, so it is read off the first instead of recomputed."""
         pres = self.pres
         acc: dict = {}
-        A_poly, B_poly = self._mono(A), self._mono(B)
+        A_poly = self._mono(A)
         for j, Z in enumerate(self._p(B, C)):
             if not Z:
                 continue
             for i, W in enumerate(self._p_poly(A_poly, Z)):
                 _add_scaled(acc.setdefault((i, j), {}), W)
         sign = pres.parity_sign(A, B)
-        for i, Z in enumerate(self._p(A, C)):
-            if not Z:
-                continue
-            for j, W in enumerate(self._p_poly(B_poly, Z)):
-                _add_scaled(acc.setdefault((i, j), {}), W, -sign)
+        if A == B:
+            # a snapshot: adding in place would read a (j, i) slot that
+            # already holds part of the second term
+            for (i, j), d in [(e, TPoly(pres, dict(d)))
+                              for e, d in acc.items()]:
+                _add_scaled(acc.setdefault((j, i), {}), d, -sign)
+        else:
+            B_poly = self._mono(B)
+            for i, Z in enumerate(self._p(A, C)):
+                if not Z:
+                    continue
+                for j, W in enumerate(self._p_poly(B_poly, Z)):
+                    _add_scaled(acc.setdefault((i, j), {}), W, -sign)
         C_poly = self._mono(C)
         for i, Z in enumerate(self._p(A, B)):
             if not Z:

@@ -23,6 +23,16 @@ def make_virasoro():
     return p
 
 
+def make_broken_skew_virasoro():
+    # lambda coefficient 3 instead of 2: the table is no longer
+    # skewsymmetric, though weights and grading still hold
+    p = Presentation([("L", 0, 2, 2)], params=("c",))
+    c = p.field.param("c")
+    p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(3), p.zero(),
+                             p.unit().scale(c / 12)])
+    return p
+
+
 def make_free_boson():
     p = Presentation([("a", 0, 1, 1)], name="free_boson")
     p.set_bracket("a", "a", [p.zero(), p.unit()])

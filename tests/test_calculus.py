@@ -12,7 +12,8 @@ from nlca.calculus import CalculusError, Engine, _beta, _int_minus_T
 from nlca.formal import LPoly
 from nlca.frontend import load_bundled
 
-from builders import bundled_names, degree, memo_terms, weights
+from builders import (bundled_names, degree, make_broken_skew_virasoro,
+                      memo_terms, weights)
 from conftest import CONCRETE
 from randgen import random_coeff, random_mono, random_single, random_tensor
 
@@ -127,6 +128,59 @@ def test_jacobiator_w3_nonzero_before_reduction(w3, engines):
     mono = p.mono("L", ("L", 1))
     assert j.coeff((1, 0)).terms.get(mono) == alpha
     assert j.coeff((0, 1)).terms.get(mono) == -alpha
+
+
+def pbracket_jacobiator(e, x, y, z):
+    """The jacobiator of parity-homogeneous x, y, z from public pbracket
+    calls, each of its three terms computed on its own."""
+    p = e.pres
+    sign = p.parity_sign(next(iter(x.terms)), next(iter(y.terms)))
+    out = LPoly(p, ("lambda", "mu"))
+
+    def add(i, j, W, s):
+        nonlocal out
+        out = out + LPoly(p, ("lambda", "mu"), {(i, j): W.scale(s)})
+    for (j,), Z in e.pbracket(y, z).terms.items():
+        for (i,), W in e.pbracket(x, Z).terms.items():
+            add(i, j, W, 1)
+    for (i,), Z in e.pbracket(x, z).terms.items():
+        for (j,), W in e.pbracket(y, Z).terms.items():
+            add(i, j, W, -sign)
+    for (i,), Z in e.pbracket(x, y).terms.items():
+        for (n,), W in e.pbracket(Z, z).terms.items():
+            for k in range(n + 1):
+                add(i + k, n - k, W, -comb(n, k))
+    return out
+
+
+def test_jacobiator_with_equal_first_operands_matches_pbracket(
+        presentations):
+    # J(A, A, C) reads its second term off its first; the reference
+    # computes both, on an odd generator, composite and T^n operands, a
+    # sum whose monomial pairs are partly equal, and a table that is not
+    # skewsymmetric, since the shortcut does not rest on skew
+    rng = random.Random(2417)
+    cases = []
+    for name, (xs, zs) in {
+            "free_fermion": ([("phi",)], ["phi"]),
+            "virasoro": ([("L",), ("L", "L"), (("L", 1), "L")], ["L"]),
+            "w3": ([("L",), ("W",), ("L", "L"), (("W", 1),)], ["L", "W"]),
+    }.items():
+        p = presentations[name]
+        cases += [(p, p.poly({p.mono(*x): 1}), p.gen(z)) for x in xs
+                  for z in zs]
+    w3 = presentations["w3"]
+    cases.append((w3, random_tensor(w3, rng, terms=3, allow_empty=False),
+                  w3.gen("W")))
+    skewed = make_broken_skew_virasoro()
+    cases += [(skewed, skewed.gen("L", n), skewed.gen("L")) for n in (0, 1)]
+    engines = {}
+    for p, x, z in cases:
+        e = engines.setdefault(id(p), Engine(p))
+        j = e.jacobiator(x, x, z)
+        assert j == pbracket_jacobiator(e, x, x, z), (p.name, str(x), str(z))
+    assert not engines[id(skewed)].jacobiator(
+        skewed.gen("L"), skewed.gen("L"), skewed.gen("L")).is_zero
 
 
 # -- identities --------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
-from nlca.algebra import Presentation, RGen
+from nlca.algebra import Presentation, RGen, render_tpoly
 from nlca.calculus import Engine
-from nlca.verify import Witness, check_skew, run_all
+from nlca.formal import LPoly
+from nlca.frontend import load_bundled, parse_path
+from nlca.pbw import Reducer
+from nlca.verify import Witness, all_triples, check_skew, run_all
 
-from builders import _w3_table
+from builders import (_w3_table, bundled_names, make_broken_skew_virasoro,
+                      make_w3)
 from conftest import CONCRETE
 from randgen import random_coeff
 
@@ -36,18 +42,8 @@ def test_jacobi_notes_only_for_nonlinear_tables(presentations):
     ]
 
 
-def _broken_skew_virasoro():
-    # lambda coefficient 3 instead of 2: the table is no longer
-    # skewsymmetric, though weights and grading still hold
-    p = Presentation([("L", 0, 2, 2)], params=("c",))
-    c = p.field.param("c")
-    p.set_bracket("L", "L", [p.gen("L", 1), p.gen("L").scale(3), p.zero(),
-                             p.unit().scale(c / 12)])
-    return p
-
-
 def test_skew_failure_witness():
-    p = _broken_skew_virasoro()
+    p = make_broken_skew_virasoro()
     res = check_skew(p, Engine(p))
     assert res.status == "fail"
     assert res.witnesses == [Witness(("L", "L"), "", "-:T L:")]
@@ -135,11 +131,118 @@ def test_report_json_shapes(presentations):
 
 
 def test_failed_report_text_counts():
-    rep = run_all(_broken_skew_virasoro())
+    rep = run_all(make_broken_skew_virasoro())
     last = rep.to_text().splitlines()[-1]
     bad = sum(1 for r in rep.results if r.status == "fail")
     assert last == "FAILED: %d check(s)" % bad
     assert bad >= 1
+
+
+# -- jacobi: triples mirrored when skew passed --------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _two_odd_table():
+    """psi and chi odd and distinct, so p(psi, chi) = -1, with a nonlinear
+    [psi chi]; skewsymmetric, though Jacobi need not hold."""
+    h = Fraction(3, 2)
+    p = Presentation([("J", 0, 1, 1), ("psi", 1, h, h), ("chi", 1, h, h)],
+                     params=("k",), name="two_odd")
+    k = p.field.param("k")
+    p.set_bracket("J", "J", [p.zero(), p.unit().scale(k)])
+    p.set_bracket("J", "psi", [p.gen("psi")])
+    p.set_bracket("J", "chi", [p.gen("chi").scale(-1)])
+    p.set_bracket("psi", "chi", [
+        p.poly({p.mono("J", "J"): 1, p.mono(("J", 1)): k}),
+        p.gen("J").scale(2), p.unit().scale(k)])
+    return p
+
+
+def _inconsistent_w3():
+    # [W, L] stored beside [L, W], with 4 where skewsymmetry gives 3
+    p = make_w3()
+    p.set_bracket("W", "L", [p.gen("W", 1).scale(2), p.gen("W").scale(4)])
+    return p
+
+
+def _skewsymmetric_tables():
+    return ([load_bundled(name) for name in bundled_names()]
+            + [parse_path(GOLDEN / "w3_perturbed.nlca"), _two_odd_table()])
+
+
+def _swapped(j, sign):
+    """lambda and mu exchanged, times sign."""
+    return LPoly(j.pres, j.vars, {(b, a): X.scale(sign)
+                                  for (a, b), X in j.terms.items()})
+
+
+def test_mirrored_jacobiator_is_the_swapped_one():
+    # J(b, a, c) at lambda^i mu^j is -p(a,b) J(a, b, c) at lambda^j mu^i,
+    # exactly, before and after normal ordering
+    odd_nonzero = 0
+    for p in _skewsymmetric_tables():
+        e = Engine(p)
+        r = Reducer(e)
+        assert check_skew(p, e).status == "pass", p.name
+        ops = [p.gen(g.name, n) for n in (0, 1) for g in p.generators]
+        for x, y in combinations(ops, 2):
+            sign = -p.parity_sign(next(iter(x.terms)), next(iter(y.terms)))
+            for g in p.generators:
+                z = p.gen(g.name)
+                j, mirrored = e.jacobiator(x, y, z), e.jacobiator(y, x, z)
+                assert mirrored == _swapped(j, sign), (p.name, x, y, z)
+                assert r.normal_order_lpoly(mirrored) == _swapped(
+                    r.normal_order_lpoly(j), sign), (p.name, x, y, z)
+                odd_nonzero += sign == 1 and not j.is_zero
+    assert odd_nonzero
+
+
+def direct_jacobi(p):
+    """The jacobi row of run_all's JSON, from every triple computed."""
+    e = Engine(p)
+    r = Reducer(e)
+    witnesses, notes = [], []
+    for t in all_triples(p):
+        j = e.jacobiator(*(p.gen(name) for name in t))
+        if j.is_zero:
+            continue
+        red = r.normal_order_lpoly(j)
+        if red.is_zero:
+            top = max(p.mono_degree(m)
+                      for X in j.terms.values() for m in X.terms)
+            notes.append("jacobiator(%s, %s, %s) has a nonzero pre-reduction "
+                         "residue of top degree %s; zero after normal "
+                         "ordering" % (*t, top))
+        for ex in sorted(red.terms):
+            where = " ".join("%s^%d" % (v, k)
+                             for v, k in zip(red.vars, ex) if k)
+            witnesses.append({"operands": list(t),
+                              "where": where or "constant term",
+                              "residue": render_tpoly(red.terms[ex])})
+    return {"check": "jacobi", "status": "fail" if witnesses else "pass",
+            "witnesses": witnesses, "notes": notes}
+
+
+def test_run_all_mirrors_triples_only_when_skew_passed(monkeypatch):
+    calls = [0]
+    jacobiator = Engine.jacobiator
+
+    def counted(self, *args):
+        calls[0] += 1
+        return jacobiator(self, *args)
+    monkeypatch.setattr(Engine, "jacobiator", counted)
+    tables = {p.name: p for p in _skewsymmetric_tables()}
+    cases = [(tables[name], n) for name, n in (
+        ("w3", 6), ("affine_sl2", 18), ("two_odd", 18), ("w3_perturbed", 6))]
+    cases.append((_inconsistent_w3(), 8))
+    for p, computed in cases:
+        calls[0] = 0
+        rep = run_all(p)
+        assert calls[0] == computed, p.name
+        every = computed == len(p.generators) ** 3
+        assert rep.results[1].status == ("fail" if every else "pass")
+        assert rep.results[4].to_json() == direct_jacobi(p), p.name
 
 
 # -- validate against a brute-force walk over every ordered pair -------------
