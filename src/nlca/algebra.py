@@ -89,8 +89,8 @@ class TPoly:
         return TPoly(self.pres, {m: -s for m, s in self.terms.items()})
 
     def scale(self, s) -> "TPoly":
-        s = self.pres.field.convert(s)
-        if s.is_zero:
+        s = _multiplier(self.pres.field, s)
+        if not s:
             return TPoly(self.pres)
         return TPoly(self.pres, {m: c * s for m, c in self.terms.items()})
 
@@ -125,9 +125,16 @@ def _add_term(d: dict, mono: TMono, s: Scalar) -> None:
 def _add_scaled(d: dict, x: TPoly, s=None) -> None:
     """Add s*x (x itself when s is None) into the term dict d in place."""
     if s is not None and x.terms:
-        s = x.pres.field.convert(s)
+        s = _multiplier(x.pres.field, s)
     for mono, c in x.terms.items():
         _add_term(d, mono, c if s is None else c * s)
+
+
+def _multiplier(fld, s):
+    """s itself for an int or Fraction, which a Scalar multiplies on
+    Python ints; else s as a Scalar of fld (ScalarError for any other
+    type)."""
+    return s if isinstance(s, (int, Fraction)) else fld.convert(s)
 
 
 def _coeff_list(pres: "Presentation", acc: list) -> list[TPoly]:
@@ -427,7 +434,8 @@ def scalar_prefix(s: Scalar):
     r = str(s)
     neg = r.startswith("-")
     if neg:
-        r = r[1:]
+        # not r[1:]: a polynomial's sign belongs to its leading term only
+        r = str(-s)
     if r == "1":
         return neg, None
     if " " in r:

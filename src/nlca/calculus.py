@@ -20,8 +20,9 @@ list of TPoly coefficients indexed by the lambda-power, the shape
 Presentation.bracket_r returns; sums are built in place in term dicts the
 caller owns, never in a memoized entry.  Only the public methods wrap a
 result in an LPoly, to name its variable.  The closed forms' rational
-weights (1/(m+1), Beta values) are converted to scalars once per field
-(_weight).  Each new N, P or lie entry is checked against its degree bound,
+weights (1/(m+1), Beta values, binomials, signs) stay ints and Fractions,
+which a Scalar multiplies on Python ints, with no conversion to a Scalar.
+Each new N, P or lie entry is checked against its degree bound,
 deg N(A,B) <= deg A + deg B and deg P(A,B), deg lie(a,b) < deg A + deg B,
 before _keep stores it.
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -219,8 +219,7 @@ class Engine:
         for k, X in enumerate(pres.pair_coeffs(a.gen, b.gen)):
             img = apply_T(X, m + n + k + 1)
             if img:
-                _add_scaled(d, img, _weight(
-                    pres.field, (-1) ** k, _beta(m + k, n).denominator))
+                _add_scaled(d, img, (-1) ** k * _beta(m + k, n))
         # gen_units, not mono_units: a zero commutator sums no degrees
         return self._keep(key, TPoly(pres, d), d, pres.gen_units[a.gen]
                           + pres.gen_units[b.gen])
@@ -257,8 +256,7 @@ class Engine:
         """Add s * sum_m N(T^(m+1) x / (m+1), X_m) into the term dict out."""
         for m, X in enumerate(coeffs):
             if X:
-                img = apply_T(x, m + 1).scale(
-                    _weight(self.pres.field, s, m + 1))
+                img = apply_T(x, m + 1).scale(Fraction(s, m + 1))
                 self._n_into(out, img, X)
 
     def _right_into(self, acc: list, coeffs: list, y: TPoly, s: int) -> None:
@@ -268,8 +266,7 @@ class Engine:
             if X:
                 _lacc(acc, i, self._n_poly(X, y), s)
                 for m, W in enumerate(self._p_poly(X, y)):
-                    _lacc(acc, i + m + 1, W,
-                          _weight(self.pres.field, s, m + 1))
+                    _lacc(acc, i + m + 1, W, Fraction(s, m + 1))
 
     def _expand_into(self, acc: list, x: TPoly, coeffs: list, s: int) -> None:
         """Add s * sum_{m,k} C(m,k) lambda^(m-k) N(T^k x, X_m) into acc."""
@@ -285,8 +282,7 @@ class Engine:
         for n, Y in enumerate(coeffs):
             if Y:
                 for m, W in enumerate(self._p_poly(x, Y)):
-                    _lacc(acc, n + m + 1, W, _weight(
-                        self.pres.field, s, _beta(n, m).denominator))
+                    _lacc(acc, n + m + 1, W, s * _beta(n, m))
 
     def _jac_mono(self, A: TMono, B: TMono, C: TMono) -> dict:
         """The jacobiator of three monomials as {(i, j): term dict}, the
@@ -397,18 +393,6 @@ class Engine:
         self._beta_into(acc, B_poly, pAC, s * sign)
 
 
-# Bound on the weights _weight keeps converted, least recently used out
-# first; the benchmark's reduce_deep meets about 240 distinct ones.
-WEIGHT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
-def _weight(fld, p: int, q: int):
-    """p/q as a Scalar of fld, converted once per (fld, p, q): the one home
-    of the closed forms' exact rational weights."""
-    return fld.convert(Fraction(p, q))
-
-
 def _lacc(acc: list, m: int, x: TPoly, s=None) -> None:
     """Add s*x into the lambda^m slot of a list of owned term dicts."""
     while len(acc) <= m:
@@ -428,5 +412,5 @@ def _int_minus_T(pres: Presentation, coeffs: list) -> TPoly:
     for m, X in enumerate(coeffs):
         img = apply_T(X, m + 1)
         if img:
-            _add_scaled(out, img, _weight(pres.field, (-1) ** m, m + 1))
+            _add_scaled(out, img, Fraction((-1) ** m, m + 1))
     return TPoly(pres, out)

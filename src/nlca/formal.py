@@ -12,7 +12,8 @@ rendering.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, Presentation, TPoly, render_terms
+from .algebra import (AlgebraError, Presentation, TPoly, _multiplier,
+                      render_terms)
 
 
 class LPoly:
@@ -66,8 +67,8 @@ class LPoly:
                      {e: -X for e, X in self.terms.items()})
 
     def scale(self, s) -> "LPoly":
-        s = self.pres.field.convert(s)
-        if s.is_zero:
+        s = _multiplier(self.pres.field, s)
+        if not s:
             return LPoly(self.pres, self.vars)
         return LPoly(self.pres, self.vars,
                      {e: X.scale(s) for e, X in self.terms.items()})

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Presentation, RGen, TMono, TPoly, _add_scaled, render_tmono
-from .calculus import Engine, _weight
+from .calculus import Engine
 from .scalars import _fmt_int, _fmt_q
 
 # Bound on floor(L * max_weight), the length of character's table of counts
@@ -116,7 +116,7 @@ class Reducer:
                 self._monitor(W, corr)
                 if corr:
                     _add_scaled(out, self.normal_order(corr),
-                                _weight(pres.field, sign, 2))
+                                Fraction(sign, 2))
                 break
             swapped = prefix + (b, a) + suffix
             self._monitor(W, corr, swapped, pos)

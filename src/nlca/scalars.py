@@ -16,8 +16,11 @@ file format.
 
 A constant is backed by an element of sympy's sparse rational function
 field, with its integer numerator and positive integer denominator built
-directly, as `cancel` would give them (_const).  A product or quotient
-of two constants goes through sympy's own operators, which reach the
+directly, as `cancel` would give them (_const).  A product of a Scalar
+and an int or Fraction q runs on Python ints (_scaled): a constant
+cross-cancels with q, a non-constant Scalar scales its numerator and
+denominator and keeps its factors.  A product or quotient of two
+constant Scalars goes through sympy's own operators, which reach the
 canonical form with `cancel`, a polynomial gcd.  A non-constant Scalar
 keeps N and D as dicts {exponent tuple: int} and its denominator's
 irreducible factors over Q, each a hashable int dict with its leading
@@ -215,6 +218,8 @@ class Scalar:
         return _negate(self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _scaled(self, other.numerator, other.denominator)
         y = self.field._coerce(other)
         return NotImplemented if y is None else _product(self, y)
 
@@ -520,6 +525,27 @@ def _product(x: Scalar, y: Scalar) -> Scalar:
     if x._num is None and y._num is None:
         return _constant(fld, a * b)
     return _times(fld, *_dicts(x), _factors(x), *_dicts(y), _factors(y))
+
+
+def _scaled(x: Scalar, n: int, d: int) -> Scalar:
+    """x * n/d for coprime n and d > 0, on Python ints.  n/d is a constant,
+    so it cancels against x's integer contents only: the factors stay."""
+    fld = x.field
+    if d == 1 and (n == 1 or n == -1):
+        return x if n == 1 else _negate(x)
+    if not n or not x:
+        return fld.zero
+    if x._num is None:
+        (num, den), zm = _dicts(x), fld._zm
+        a, b = num[zm], den[zm]
+        ga, gb = gcd(a, d), gcd(n, b)
+        return _const(fld, (a // ga) * (n // gb), (b // gb) * (d // ga))
+    # x's contents are coprime, so n cancels only against den's, d only
+    # against num's
+    gn, gd = gcd(n, *x._den.values()), gcd(d, *x._num.values())
+    n, d = n // gn, d // gd
+    return _new(fld, {m: c // gd * n for m, c in x._num.items()},
+                {m: c // gn * d for m, c in x._den.items()}, x._facs)
 
 
 def _times(fld, an, ad, fa, bn, bd, fb) -> Scalar:

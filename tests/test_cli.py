@@ -251,6 +251,11 @@ def test_reduce(capsys):
     assert code == 0
     assert json.loads(out) == {"presentation": "virasoro",
                                "value": "-1/6*:T^3 L: + :L T L:"}
+    # a polynomial coefficient keeps the sign of each of its terms
+    code, out, err = run(capsys, ["reduce", bundled_path("virasoro"),
+                                  "(-5*c - 6)*:L L:"])
+    assert code == 0
+    assert out == "-(5*c + 6)*:L L:\n"
 
 
 def test_reduce_long_reversed_word():

@@ -5,10 +5,11 @@ and every product and quotient with a non-constant operand, is reduced
 by trial division over its denominators' factors, on int dicts that
 build no sympy element for a non-constant result (the sympy view, .raw,
 must agree with them); a constant is built as the element cancel gives,
-without it, and only products and quotients of two constants keep
-sympy's cancel; a denominator of total degree 1 is its own factor,
-without sympy's factor_list; the closed forms' rational weights are
-converted once per field; generator metadata is kept in integer units
+without it, and only products and quotients of two constant Scalars
+keep sympy's cancel; a product with an int or Fraction (the closed
+forms' rational weights, which the engine no longer converts) runs on
+Python ints; a denominator of total degree 1 is its own factor, without
+sympy's factor_list; generator metadata is kept in integer units
 (ranks, degree and weight units, parity bits).  Each must give the very
 value, rendering and hash of the plain computation (down to whole
 jacobiators and normal forms), and every check built on the integer
@@ -28,10 +29,10 @@ from sympy import QQ
 from sympy.polys.fields import FracField
 from sympy.polys.rings import PolyElement, PolyRing
 
-from nlca.algebra import (AlgebraError, Presentation, RGen, apply_T,
-                          render_tpoly)
-from nlca.calculus import CalculusError, Engine, _weight
-from nlca.formal import render_lpoly
+from nlca.algebra import (AlgebraError, Presentation, RGen, _add_scaled,
+                          apply_T, render_tpoly)
+from nlca.calculus import CalculusError, Engine
+from nlca.formal import LPoly, render_lpoly
 from nlca.frontend import load_bundled, parse_path, parse_scalar, parse_source
 from nlca.pbw import PBWError, Reducer, inversions
 from nlca.scalars import (Scalar, ScalarError, _factor, _fmt_q,
@@ -256,6 +257,12 @@ def test_no_cancel_with_a_constant_or_two_polynomials(monkeypatch):
     for v in (65, -65, 2 ** 70, Fraction(3, 4), Fraction(-5, 6),
               Fraction(2 ** 70 + 1, 3)):
         fld.convert(v)
+    assert len(calls) == 0
+    # a Scalar of any kind times an int or Fraction runs on ints
+    for xs in kinds.values():
+        for x in xs:
+            for q in RATIONALS:
+                x * q, q * x
     assert len(calls) == 0
     # (a) a nonzero constant with a non-constant operand
     assert cancels(constants, kinds["polynomial"]) == 0
@@ -495,9 +502,11 @@ PLAIN = {
 }
 
 
-def w3_renderings(pres, seed):
-    """Rendered jacobiators, with their normal forms, and normal forms of
-    words, on seeded w3 tensors, from a fresh Engine."""
+def renderings(pres, seed, lift):
+    """Rendered jacobiators, with their normal forms, on seeded tensors,
+    from a fresh Engine; then a lie and a pbracket of operands, and the
+    normal form of words, under T^lift, so that the closed forms (Beta
+    values, 1/(m+1)) meet T-powers past randgen's caps."""
     rng = random.Random(seed)
     engine = Engine(pres)
     reducer = Reducer(engine)
@@ -507,18 +516,27 @@ def w3_renderings(pres, seed):
                    for _ in range(3))
         j = engine.jacobiator(x, y, z)
         out += [render_lpoly(j), render_lpoly(reducer.normal_order_lpoly(j))]
-        out.append(render_tpoly(reducer.normal_order(
-            random_tensor(pres, rng, terms=3, allow_empty=False))))
+        tx, ty = apply_T(x, lift), apply_T(y, lift)
+        out += [render_tpoly(engine.lie(tx, y)),
+                render_lpoly(engine.pbracket(tx, ty))]
+        out.append(render_tpoly(reducer.normal_order(apply_T(
+            random_tensor(pres, rng, terms=3, allow_empty=False), lift))))
     return out
 
 
-def test_engine_matches_plain_scalar_arithmetic(w3, monkeypatch):
-    fast = w3_renderings(w3, 41)
+# (algebra, T-power applied to the lie, pbracket and normal form operands)
+PLAIN_ENGINE_RUNS = (("w3", 0), ("virasoro", 2), ("affine_sl2", 2))
+
+
+def test_engine_matches_plain_scalar_arithmetic(presentations, monkeypatch):
+    fast = [renderings(presentations[name], 41, lift)
+            for name, lift in PLAIN_ENGINE_RUNS]
     for name, op in PLAIN.items():
         monkeypatch.setattr(Scalar, name, plain_method(op))
     monkeypatch.setattr(Scalar, "__neg__", lambda x: Scalar(x.field, -x.raw))
-    assert w3_renderings(w3, 41) == fast
-    assert any("/" in text for text in fast)
+    assert [renderings(presentations[name], 41, lift)
+            for name, lift in PLAIN_ENGINE_RUNS] == fast
+    assert all(any("/" in text for text in texts) for texts in fast)
 
 
 # -- denominators of total degree 1, without factor_list ----------------------
@@ -679,27 +697,61 @@ def test_sympy_boundary_matches_the_int_dicts():
     assert str(x) == plain_str(x)
 
 
-# -- closed-form weights, converted once per field ----------------------------
+# -- products with an int or Fraction, on Python ints -------------------------
 
-def test_weights_match_plain_conversion():
+# 0, ±1, ±2^70, negative Fractions, and numerators past 2^64
+RATIONALS = (0, 1, -1, 2, -6, 2 ** 70, -2 ** 70, Fraction(1), Fraction(-4, 4),
+             Fraction(-1, 2), Fraction(-7, 6), Fraction(9, 10),
+             Fraction(2 ** 64 + 1, 3), Fraction(-(2 ** 65 + 3), 2 ** 70 + 1))
+
+
+def check_rational_multiplier(fld, x, q, ys):
+    """x * q, q * x and x * Fraction(q) against x * fld.convert(q), the
+    Scalar-by-Scalar path, and against sympy's multiply; then a sum and a
+    product with every y, and a quotient by a constant y, which read the
+    result's factors."""
+    conv = fld.convert(q)
+    plain = x * conv
+    assert_same(plain, Scalar(fld, x.raw * conv.raw))
+    fast = x * q
+    for same in (fast, q * x, x * Fraction(q)):
+        assert_same(same, plain)
+    for y in ys:
+        assert_same(fast + y, plain + y)
+        assert_same(fast * y, plain * y)
+        if y and y.raw.numer.is_ground:
+            assert_same(fast / y, plain / y)
+
+
+def test_rational_multipliers_match_plain_path():
     rng = random.Random(53)
     fields = {load_bundled(name).field for name in bundled_names()}
     assert len(fields) > 2
     for fld in fields:
-        pairs = [(1, 1), (-1, 1), (2, -2), (0, 5), (1, 2), (-3, 6)]
-        for _ in range(200):
-            p, q = (rng.randrange(lo, 10 ** rng.randrange(1, 12))
-                    for lo in (0, 1))
-            pairs.append((rng.choice((-1, 1)) * p, rng.choice((-1, 1)) * q))
-        for p, q in pairs:
-            want = fld.convert(Fraction(p, q))
-            got = _weight(fld, p, q)
-            assert got == want and str(got) == str(want), (fld, p, q)
-            assert hash(got) == hash(want)
-            assert _weight(fld, p, q) is got
-        # ±1 keep the cached backing elements the product shortcuts test for
-        assert _weight(fld, 3, 3).raw is fld.one.raw
-        assert _weight(fld, 2, -2).raw is fld.minus_one.raw
+        xs = [draw(fld, rng, kind) for kind in KINDS for _ in range(2)]
+        xs += [fld.zero, fld.one, fld.minus_one, shared_factors(fld, rng)]
+        for x in xs:
+            ys = [shared_factors(fld, rng), x, draw(fld, rng, "constant")]
+            for q in RATIONALS:
+                check_rational_multiplier(fld, x, q, ys)
+    # a product equal to ±1 is the cached object, so later products with
+    # it keep the ±1 shortcut
+    fld = scalar_field(("c",))
+    half = fld.convert(Fraction(1, 2))
+    assert half * 2 is fld.one and Fraction(-2) * half is fld.minus_one
+
+
+def test_non_rational_multipliers_still_raise(virasoro):
+    x = virasoro.gen("L")
+    lx = LPoly.from_coeff_list(virasoro, "lambda", [x])
+    other = scalar_field(("zz",)).param("zz")
+    for s in (0.5, "2", other):
+        with pytest.raises(ScalarError):
+            x.scale(s)
+        with pytest.raises(ScalarError):
+            lx.scale(s)
+        with pytest.raises(ScalarError):
+            _add_scaled({}, x, s)
 
 
 # -- generator metadata in integer units -------------------------------------

@@ -4,9 +4,10 @@ import operator
 from importlib.resources import files
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from nlca.algebra import AlgebraError, Presentation
+from nlca.algebra import AlgebraError, Presentation, render_tpoly
+from nlca.formal import LPoly, render_lpoly
 from nlca.frontend import (MAX_WORD, ParseError, _tokenize, load_bundled,
                            parse_expression, parse_path, parse_scalar,
                            parse_source, render_presentation)
@@ -375,6 +376,8 @@ MUTATIONS = st.lists(
 
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(sorted(BUNDLED_TOKENS)), MUTATIONS)
+# a coefficient -5*c - 6, once rendered as -(5*c - 6)
+@example(name="w3", mutations=[("swap", 577, 857, 1)])
 def test_fuzz_mutated_bundled_tables(name, mutations):
     toks = list(BUNDLED_TOKENS[name])
     for kind, i, j, n in mutations:
@@ -393,3 +396,41 @@ def test_fuzz_mutated_bundled_tables(name, mutations):
         return
     # what parses renders to a file that parses back to it
     assert same_presentation(parse_source(render_presentation(pres)), pres)
+
+
+# Polynomial coefficients whose leading term is negative, over one and two
+# parameters, and neighbours whose sign the renderer may take off whole.
+NEGATIVE_LEADS = {
+    ("c",): ("-5*c - 6", "-c^2 + 3*c - 1", "-c - 1/2", "-(c + 1)/(c - 2)",
+             "-2*c/(c + 1)", "-5*c", "-7/3"),
+    ("a", "b"): ("-a*b + b - 2", "-3*a - b", "-a^2 - a*b + 1/2",
+                 "(-a - b)/(a*b + 1)", "-a*b/3"),
+}
+
+
+def test_negative_leading_terms_render_to_their_values():
+    for params, texts in NEGATIVE_LEADS.items():
+        head = "".join("param %s;\n" % p for p in params)
+        head += "generator L parity=even degree=2;\n"
+        pres = parse_source(head)
+        L, TL = pres.gen("L"), pres.gen("L", 1)
+        for text in texts:
+            s = parse_scalar(pres.field, text)
+            x = TL + L.tensor(L).scale(s)
+            assert parse_expression(pres, render_tpoly(x)).terms == x.terms
+            lp = LPoly.from_coeff_list(pres, "lambda", [
+                TL.scale(s), L.scale(-s), pres.zero(), pres.unit().scale(s)])
+            again = parse_source(head + "bracket [L,L] = %s;\n"
+                                 % render_lpoly(lp))
+            assert [X.terms for X in again.pair_coeffs(0, 0)] == [
+                lp.coeff((k,)).terms for k in range(4)]
+            pres2 = parse_source(head)
+            pres2.set_bracket("L", "L", [
+                X.scale(s) for X in (pres2.gen("L", 1), pres2.gen("L"))])
+            assert same_presentation(
+                parse_source(render_presentation(pres2)), pres2)
+    fld = scalar_field(("c",))
+    pres = parse_source("param c;\ngenerator L parity=even degree=2;\n")
+    L = pres.gen("L")
+    assert render_tpoly(L.tensor(L).scale(parse_scalar(fld, "-5*c - 6"))) \
+        == "-(5*c + 6)*:L L:"
