@@ -14,34 +14,31 @@ equal to an equal int or Fraction.  The representation stays private to
 this module; text is read by frontend.parse_scalar, in the grammar of the
 file format.
 
-A constant is backed by an element of sympy's sparse rational function
-field, with its integer numerator and positive integer denominator built
-directly, as `cancel` would give them (_const).  A product of a Scalar
-and an int or Fraction q runs on Python ints (_scaled): a constant
-cross-cancels with q, a non-constant Scalar scales its numerator and
-denominator and keeps its factors.  A product or quotient of two
-constant Scalars goes through sympy's own operators, which reach the
-canonical form with `cancel`, a polynomial gcd.  A non-constant Scalar
-keeps N and D as dicts {exponent tuple: int} and its denominator's
-irreducible factors over Q, each a hashable int dict with its leading
-term split off (Scalar._facs).  A denominator that enters from outside
-this arithmetic is factored once: the divisor's numerator in a quotient
-(so parsing, a pin, a nullspace pivot), or the denominator of a Scalar
-built from a sympy element, when first needed.  One of total degree 1 is
-irreducible and is its own factor; any other goes through sympy's
-factor_list.
-Every sum and difference, and every product, negation and power with a
-non-constant operand, runs on Python ints and carries the factors
-forward (a constant has none).  For canonical operands, a common factor
-of the new numerator and denominator is one of those factors, so trial
-division by them, then by the integer contents, gives the canonical
-form with no gcd.  A product with ±1 is the other operand or its
-negation.  A quotient is a product with the inverse, whose denominator
-is the divisor's numerator, factored there.
+Every Scalar, a constant included, keeps N and D as dicts {exponent
+tuple: int} and its denominator's irreducible factors over Q, each a
+hashable int dict with its leading term split off (Scalar._facs).  A
+denominator that enters from outside this arithmetic is factored once:
+the divisor's numerator in a quotient (so parsing, a pin, a nullspace
+pivot), or the denominator of a Scalar built from a sympy element, when
+first needed.  Every sum, difference, negation and power, every product
+with an int or Fraction, and every product and quotient with a
+non-constant operand runs on Python ints and carries the factors forward
+(a constant has none).  For canonical operands, a common factor of the
+new numerator and denominator is one of those factors, so trial division
+by them, then by the integer contents, gives the canonical form with no
+gcd.  A product with ±1 is the other operand or its negation.  A quotient
+is a product with the inverse, whose denominator is the divisor's
+numerator, factored there.  The constant ints in [-64, 64] are cached
+Scalars.
 
-Scalar.raw is the sympy element of any Scalar, built on first use for a
-non-constant one, and Scalar(field, element) wraps a canonical sympy
-element (every result of sympy's field arithmetic is one).
+sympy keeps three jobs.  Scalar.raw is a view of any Scalar as an element
+of sympy's sparse rational function field, built on first read and
+cached, and Scalar(field, element) wraps a canonical sympy element (every
+result of sympy's field arithmetic is one).  A denominator of total
+degree 2 or more is factored by sympy's factor_list; one of total degree
+1 is irreducible and is its own factor.  A product or quotient of two
+constant Scalars goes through sympy's operators on their views, which
+reach the canonical form with `cancel`, a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -103,15 +100,11 @@ class ScalarField:
         self._zm = ring.zero_monom
         self._mul, self._div = ring.monomial_mul, ring.monomial_div
         self._key = _grlex if len(params) > 1 else None
-        # ±1 are cached by identity: _product and _negate test for them
+        # the cached constants, by value: _product and _negate test for ±1
         # with `is`
-        one = self._field.one
-        self._one, self._minus_one = one, -one
-        self.zero = _constant(self, self._field.zero)
-        self.one = _constant(self, one)
-        self.minus_one = _constant(self, self._minus_one)
-        self._ints: dict[int, Scalar] = {0: self.zero, 1: self.one,
-                                         -1: self.minus_one}
+        self._ints: dict[int, Scalar] = {}
+        self.zero, self.one, self.minus_one = (_const(self, n, 1)
+                                               for n in (0, 1, -1))
 
     def __repr__(self):
         return "ScalarField(%s)" % (", ".join(self.params) or "Q")
@@ -130,8 +123,6 @@ class ScalarField:
                 raise ScalarError("Scalar from a different field")
             return x
         if isinstance(x, int):
-            # ints must become ground elements up front: sympy's zero fast
-            # paths would otherwise leak bare ints into later arithmetic
             return _const(self, x, 1)
         if isinstance(x, Fraction):
             return _const(self, x.numerator, x.denominator)
@@ -147,56 +138,48 @@ class ScalarField:
 class Scalar:
     """An element of a ScalarField, kept in reduced canonical form.
 
-    A constant has its sympy element in _raw and None in _num and _den; any
-    other Scalar has int dicts in _num and _den, its denominator's factors
-    in _facs (None until first needed, see _factors) and a sympy element in
-    _raw only once .raw was read."""
+    _num and _den are its numerator and denominator as int dicts, _facs
+    its denominator's factors (None until first needed, see _factors) and
+    _raw its sympy view (None until .raw is first read)."""
 
     __slots__ = ("field", "_raw", "_num", "_den", "_facs")
 
     def __init__(self, fld: ScalarField, raw):
         """The Scalar of `raw`, a canonical element of fld's sympy field."""
-        self.field = fld
-        self._raw = raw
-        if raw.numer.is_ground and raw.denom.is_ground:
-            self._num = self._den = None
-            self._facs = ()
-        else:
-            self._num, self._den = _int_dict(raw.numer), _int_dict(raw.denom)
-            self._facs = None
+        self.field, self._raw, self._facs = fld, raw, None
+        self._num, self._den = _int_dict(raw.numer), _int_dict(raw.denom)
 
     @property
     def raw(self):
         """This Scalar as an element of sympy's rational function field."""
         if self._raw is None:
+            # built directly: ring.from_dict converts every coefficient
             f = self.field._field
-            self._raw = f.raw_new(f.ring.from_dict(self._num),
-                                  f.ring.from_dict(self._den))
+            poly, q = f.ring.dtype, QQ.dtype
+            self._raw = f.raw_new(
+                *(poly({m: q(c) for m, c in p.items()})
+                  for p in (self._num, self._den)))
         return self._raw
 
     def __bool__(self):
-        return self._num is not None or bool(self._raw)
+        return bool(self._num)
 
     @property
     def is_zero(self) -> bool:
-        return self._num is None and not self._raw
+        return not self._num
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            if self.field is not other.field:
-                return False
-            if self._num is None:
-                return other._num is None and self._raw == other._raw
-            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            return (self._num is None
-                    and self._raw == self.field._coerce(other)._raw)
+            other = self.field._coerce(other)
+        if isinstance(other, Scalar):
+            return (self.field is other.field and self._num == other._num
+                    and self._den == other._den)
         return NotImplemented
 
     def __hash__(self):
-        if self._num is None:
-            (num, den), zm = _dicts(self), self.field._zm
-            return hash(Fraction(num.get(zm, 0), den[zm]))
+        if _is_const(self):
+            zm = self.field._zm
+            return hash(Fraction(self._num.get(zm, 0), self._den[zm]))
         return hash((frozenset(self._num.items()),
                      frozenset(self._den.items())))
 
@@ -239,15 +222,15 @@ class Scalar:
             return _quotient(fld.one, self) ** -n
         if not n:
             return fld.one
-        num, den = (_ppow(fld, p, n) for p in _dicts(self))
-        if self._num is None:
+        num, den = (_ppow(fld, p, n) for p in (self._num, self._den))
+        if _is_const(self):
             return _const(fld, num.get(fld._zm, 0), den[fld._zm])
         facs = self._facs
         return _new(fld, num, den,
                     facs and tuple((f, e * n) for f, e in facs))
 
     def __str__(self):
-        return _render(self.field, *_dicts(self))
+        return _render(self.field, self._num, self._den)
 
     def __repr__(self):
         return "Scalar(%s)" % (self,)
@@ -259,63 +242,64 @@ class Scalar:
             if p not in assignment:
                 raise ScalarError("no value for parameter %r" % (p,))
             values.append(Fraction(assignment[p]))
-        num, den = (_evaluate(p, values) for p in _dicts(self))
+        num, den = (_evaluate(p, values) for p in (self._num, self._den))
         if den == 0:
             raise ScalarError("denominator vanishes at the given point")
         return num / den
 
     def complexity(self) -> int:
         """Number of terms in the numerator plus the denominator."""
-        num, den = _dicts(self)
-        return len(num) + len(den)
+        return len(self._num) + len(self._den)
 
 
 _alloc = object.__new__
 
 
-def _constant(fld: ScalarField, raw) -> Scalar:
-    """The Scalar of raw, a constant of fld's sympy field."""
-    s = _alloc(Scalar)
-    s.field, s._raw, s._num, s._den, s._facs = fld, raw, None, None, ()
-    return s
-
-
 def _new(fld: ScalarField, num: dict, den: dict, facs) -> Scalar:
-    """The non-constant Scalar num/den, for num and den in canonical form
-    and facs den's factors (or None)."""
+    """The Scalar num/den, for num and den in canonical form and facs
+    den's factors (or None)."""
     s = _alloc(Scalar)
     s.field, s._raw, s._num, s._den, s._facs = fld, None, num, den, facs
     return s
 
 
 def _const(fld: ScalarField, n: int, d: int) -> Scalar:
-    """The constant n/d, for coprime n and d > 0: the element `cancel`
-    would give, built without it, and cached for an int in [-64, 64]."""
+    """The constant n/d, for coprime n and d > 0, cached for an int in
+    [-64, 64]."""
     if d == 1:
         s = fld._ints.get(n)
         if s is not None:
             return s
-    # PolyElement.new skips ring.ground_new's domain conversion
-    poly, zm, q = fld._one.numer.new, fld._zm, QQ.dtype
-    s = _constant(fld, fld._field.raw_new(poly({zm: q(n)}), poly({zm: q(d)})))
+    zm = fld._zm
+    s = _new(fld, {zm: n} if n else {}, {zm: d}, ())
     if d == 1 and -64 <= n <= 64:
         fld._ints[n] = s
     return s
 
 
+def _const_of(fld: ScalarField, raw) -> Scalar:
+    """The constant of raw, a canonical constant of fld's sympy field,
+    with raw as its view."""
+    zm = fld._zm
+    n = raw.numer.get(zm)
+    s = _const(fld, int(n.numerator) if n else 0,
+               int(raw.denom[zm].numerator))
+    if s._raw is None:
+        s._raw = raw
+    return s
+
+
+def _is_const(x: Scalar) -> bool:
+    """x has no parameter: its numerator is 0 or a constant, and so is
+    its denominator."""
+    fld = x.field
+    return _is_ground(fld, x._den) and (not x._num
+                                        or _is_ground(fld, x._num))
+
+
 def _int_dict(poly) -> dict:
     """A sympy polynomial with integer coefficients as {exponents: int}."""
     return {m: int(c.numerator) for m, c in poly.items()}
-
-
-def _dicts(x: Scalar) -> tuple[dict, dict]:
-    """x's numerator and denominator as int dicts."""
-    if x._num is not None:
-        return x._num, x._den
-    raw, zm = x._raw, x.field._zm
-    n = raw.numer.get(zm)
-    return ({zm: int(n.numerator)} if n else {},
-            {zm: int(raw.denom[zm].numerator)})
 
 
 def _evaluate(poly: dict, values: list[Fraction]) -> Fraction:
@@ -470,13 +454,11 @@ def _strip(fld, num, den, facs, upto):
 
 def _negate(x: Scalar) -> Scalar:
     fld = x.field
-    if x._num is not None:
-        return _new(fld, _pneg(x._num), x._den, x._facs)
-    if x._raw is fld._one:
+    if x is fld.one:
         return fld.minus_one
-    if x._raw is fld._minus_one:
+    if x is fld.minus_one:
         return fld.one
-    return _constant(fld, -x._raw)
+    return _new(fld, _pneg(x._num), x._den, x._facs)
 
 
 def _sum(x: Scalar, y: Scalar, sign: int) -> Scalar:
@@ -489,7 +471,7 @@ def _sum(x: Scalar, y: Scalar, sign: int) -> Scalar:
         return x
     if not x:
         return y if sign > 0 else _negate(y)
-    (an, ad), (bn, bd) = _dicts(x), _dicts(y)
+    an, ad, bn, bd = x._num, x._den, y._num, y._den
     fa, fb = _factors(x), _factors(y)
     if sign < 0:
         bn = _pneg(bn)
@@ -510,21 +492,24 @@ def _sum(x: Scalar, y: Scalar, sign: int) -> Scalar:
 
 def _product(x: Scalar, y: Scalar) -> Scalar:
     fld = x.field
-    a, b = x._raw, y._raw
     # a product with ±1 is the other operand or its negation
-    if b is fld._one:
+    if y is fld.one:
         return x
-    if b is fld._minus_one:
+    if y is fld.minus_one:
         return _negate(x)
-    if a is fld._one:
+    if x is fld.one:
         return y
-    if a is fld._minus_one:
+    if x is fld.minus_one:
         return _negate(y)
     if not x or not y:
         return fld.zero
-    if x._num is None and y._num is None:
-        return _constant(fld, a * b)
-    return _times(fld, *_dicts(x), _factors(x), *_dicts(y), _factors(y))
+    # on ints, two constants would cross-cancel like _scaled; sympy's
+    # cancel stays until the benchmark's peak memory stops growing with
+    # throughput (ROADMAP item 1)
+    if _is_const(x) and _is_const(y):
+        return _const_of(fld, x.raw * y.raw)
+    return _times(fld, x._num, x._den, _factors(x), y._num, y._den,
+                  _factors(y))
 
 
 def _scaled(x: Scalar, n: int, d: int) -> Scalar:
@@ -535,15 +520,13 @@ def _scaled(x: Scalar, n: int, d: int) -> Scalar:
         return x if n == 1 else _negate(x)
     if not n or not x:
         return fld.zero
-    if x._num is None:
-        (num, den), zm = _dicts(x), fld._zm
-        a, b = num[zm], den[zm]
-        ga, gb = gcd(a, d), gcd(n, b)
-        return _const(fld, (a // ga) * (n // gb), (b // gb) * (d // ga))
     # x's contents are coprime, so n cancels only against den's, d only
     # against num's
     gn, gd = gcd(n, *x._den.values()), gcd(d, *x._num.values())
     n, d = n // gn, d // gd
+    if _is_const(x):
+        zm = fld._zm
+        return _const(fld, x._num[zm] // gd * n, x._den[zm] // gn * d)
     return _new(fld, {m: c // gd * n for m, c in x._num.items()},
                 {m: c // gn * d for m, c in x._den.items()}, x._facs)
 
@@ -572,12 +555,13 @@ def _quotient(x: Scalar, y: Scalar) -> Scalar:
         raise ScalarError("division by zero")
     if not x:
         return fld.zero
-    if x._num is None and y._num is None:
-        return _constant(fld, x._raw / y._raw)
-    num, den = _dicts(y)
+    if _is_const(x) and _is_const(y):
+        return _const_of(fld, x.raw / y.raw)
+    num, den = y._num, y._den
     if num[_lead(fld, num)] < 0:
         num, den = _pneg(num), _pneg(den)
-    return _times(fld, *_dicts(x), _factors(x), den, num, _factor(fld, num))
+    return _times(fld, x._num, x._den, _factors(x), den, num,
+                  _factor(fld, num))
 
 
 def _reduced(fld, num, den, facs, common) -> Scalar:
@@ -673,9 +657,8 @@ def _render(fld: ScalarField, num: dict, den: dict) -> str:
 def affine_defects(s: Scalar, unknowns) -> tuple[bool, bool]:
     """(not affine, unknown in a denominator) for s, the unknowns jointly."""
     idx = [s.field.params.index(u) for u in unknowns]
-    num, den = _dicts(s)
-    nonaffine = any(sum(exps[i] for i in idx) > 1 for exps in num)
-    in_den = any(exps[i] for exps in den for i in idx)
+    nonaffine = any(sum(exps[i] for i in idx) > 1 for exps in s._num)
+    in_den = any(exps[i] for exps in s._den for i in idx)
     return nonaffine, in_den
 
 
@@ -696,7 +679,6 @@ def affine_split(s: Scalar, unknowns) -> tuple[Scalar, list[Scalar]]:
     idx = [params.index(u) for u in unknowns]
     keep = [i for i in range(len(params)) if i not in idx]
     target = scalar_field(params[i] for i in keep)
-    num, den = _dicts(s)
 
     def drop(poly):
         return {tuple(exps[i] for i in keep): c for exps, c in poly.items()}
@@ -704,13 +686,13 @@ def affine_split(s: Scalar, unknowns) -> tuple[Scalar, list[Scalar]]:
     # an affine numerator term holds at most one unknown: file it under
     # that unknown (slot 0 is c0) with the unknown dropped
     nums = [{} for _ in range(len(idx) + 1)]
-    for exps, c in num.items():
+    for exps, c in s._num.items():
         slot = next((k + 1 for k, i in enumerate(idx) if exps[i]), 0)
         nums[slot][tuple(exps[i] for i in keep)] = c
     # no unknown is in s's denominator, so its factors stay irreducible,
     # primitive and positive-leading over the other parameters
     facs = tuple((_Factor(target, drop(f)), e) for f, e in _factors(s))
-    c0, *cus = [_reduced(target, d, drop(den), facs, facs) for d in nums]
+    c0, *cus = [_reduced(target, d, drop(s._den), facs, facs) for d in nums]
     return c0, cus
 
 

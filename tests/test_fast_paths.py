@@ -1,21 +1,22 @@
 """Differential tests: each exact shortcut against the plain path.
 
-Scalar products with ±1 skip sympy's cancel; every sum and difference,
-and every product and quotient with a non-constant operand, is reduced
-by trial division over its denominators' factors, on int dicts that
-build no sympy element for a non-constant result (the sympy view, .raw,
-must agree with them); a constant is built as the element cancel gives,
-without it, and only products and quotients of two constant Scalars
-keep sympy's cancel; a product with an int or Fraction (the closed
-forms' rational weights, which the engine no longer converts) runs on
-Python ints; a denominator of total degree 1 is its own factor, without
-sympy's factor_list; generator metadata is kept in integer units
-(ranks, degree and weight units, parity bits).  Each must give the very
-value, rendering and hash of the plain computation (down to whole
-jacobiators and normal forms), and every check built on the integer
-units must still fire, with the same message.
+Every Scalar, a constant included, is kept as int dicts, and its sympy
+view, .raw, must agree with them.  Scalar products with ±1 skip all
+arithmetic; every sum, difference, negation and power, and every product
+and quotient with a non-constant operand, is reduced by trial division
+over its denominators' factors and builds no sympy element; only
+products and quotients of two constant Scalars keep sympy's cancel; a
+product with an int or Fraction (the closed forms' rational weights,
+which the engine no longer converts) runs on Python ints; a denominator
+of total degree 1 is its own factor, without sympy's factor_list;
+generator metadata is kept in integer units (ranks, degree and weight
+units, parity bits).  Each must give the very value, rendering and hash
+of the plain computation (down to whole jacobiators and normal forms),
+and every check built on the integer units must still fire, with the
+same message.
 """
 
+import ast
 import operator
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from sympy import QQ
 from sympy.polys.fields import FracField
 from sympy.polys.rings import PolyElement, PolyRing
 
+import nlca
 from nlca.algebra import (AlgebraError, Presentation, RGen, _add_scaled,
                           apply_T, render_tpoly)
 from nlca.calculus import CalculusError, Engine
@@ -72,11 +74,11 @@ def assert_same(x, y):
 
 def check_unit_products(fld, x):
     # a one and a minus one that are not the cached objects, so their
-    # products take sympy's multiply-and-cancel path
-    one = fld.convert(3) / fld.convert(3)
-    minus_one = fld.convert(-3) / fld.convert(3)
-    assert one.raw is not fld.one.raw
-    assert minus_one.raw is not fld.minus_one.raw
+    # products take the plain path: trial division, or sympy's cancel for
+    # two constants
+    one = Scalar(fld, fld._field.one)
+    minus_one = Scalar(fld, -fld._field.one)
+    assert one is not fld.one and minus_one is not fld.minus_one
     plain = Scalar(fld, x.raw * one.raw)
     plain_neg = Scalar(fld, x.raw * minus_one.raw)
     for fast in (x * 1, 1 * x, x * fld.one, fld.one * x, x * Fraction(1),
@@ -111,24 +113,28 @@ def test_unit_constants_are_cached():
     for params in FIELDS:
         fld = scalar_field(params)
         for one in (1, Fraction(1), Fraction(2, 2), fld.one):
-            assert fld.convert(one).raw is fld.one.raw
+            assert fld.convert(one) is fld.one
         for minus_one in (-1, Fraction(-1), Fraction(-5, 5), fld.minus_one):
-            assert fld.convert(minus_one).raw is fld.minus_one.raw
+            assert fld.convert(minus_one) is fld.minus_one
         assert -fld.one is fld.minus_one
         assert -fld.minus_one is fld.one
         assert str(fld.minus_one) == "-1"
         assert fld.convert(0) is fld.zero
-        # a constant sum equal to 0 or ±1 is the cached object, so later
-        # products with it keep the ±1 shortcut
-        third = fld.convert(Fraction(1, 3))
-        for got, want in ((third + Fraction(2, 3), fld.one),
+        # a constant sum, product or quotient equal to 0 or ±1 is the
+        # cached object, so later products with it keep the ±1 shortcut
+        third, three = fld.convert(Fraction(1, 3)), fld.convert(3)
+        for got, want in ((three / three, fld.one),
+                          (fld.convert(-3) / three, fld.minus_one),
+                          (fld.convert(Fraction(2, 3))
+                           * fld.convert(Fraction(3, 2)), fld.one),
+                          (third + Fraction(2, 3), fld.one),
                           (Fraction(2, 3) + third, fld.one),
                           (-third - Fraction(2, 3), fld.minus_one),
                           (Fraction(-4, 3) + third, fld.minus_one),
                           (third - Fraction(1, 3), fld.zero),
                           (third + Fraction(-1, 3), fld.zero)):
             assert got is want
-        # built without cancel, a constant is the element cancel gives
+        # a constant's view is the element cancel gives
         for v in (0, 1, -1, 64, -64, 65, -65, 2 ** 70, Fraction(3, 4),
                   Fraction(-5, 6)):
             v = Fraction(v)
@@ -329,14 +335,51 @@ def test_no_sympy_element_with_a_non_constant_operand(monkeypatch):
     assert builds(kinds["polynomial"], kinds["rational function"]) == 0
     assert builds(kinds["rational function"],
                   kinds["rational function"][::-1]) == 0
-    # a constant is still a sympy element, and products of two constants
-    # keep sympy's path until the benchmark's peak_rss_mb stops growing
-    # with throughput (ROADMAP item 1)
-    nonzero = [x for x in constants if x]
+    # a constant is int dicts too: building one from an int or Fraction,
+    # and sums, differences, negations, powers and products with an int
+    # or Fraction of constants build no sympy element
     del calls[:]
-    for x, y in zip(nonzero, nonzero[::-1]):
-        x + y, x - y, x * y
-    assert calls
+    for v in (0, 1, -1, 65, -65, 2 ** 70, Fraction(3, 4), Fraction(-5, 6),
+              Fraction(2 ** 70 + 1, 3)):
+        fld.convert(v)
+    for x, y in zip(constants, constants[::-1]):
+        x + y, x - y, y - x, -x, x ** 0, x ** 1, x ** 2, x ** 3
+        for q in RATIONALS:
+            x * q, q * x
+    assert calls == []
+    # products and quotients of two constants keep sympy's path until the
+    # benchmark's peak_rss_mb stops growing with throughput (ROADMAP
+    # item 1)
+    nonzero = [x for x in constants if x]
+    for op in (operator.mul, operator.truediv):
+        del calls[:]
+        for x, y in zip(nonzero, nonzero[::-1]):
+            op(x, y)
+        assert calls
+
+
+def test_only_constant_products_do_arithmetic_on_the_view():
+    """The one path left on sympy's arithmetic: scalars._product and
+    _quotient, on the .raw views of two constants."""
+    found = set()
+    for path in sorted(Path(nlca.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.BinOp):
+                    operands = (node.left, node.right)
+                elif isinstance(node, ast.UnaryOp):
+                    operands = (node.operand,)
+                elif isinstance(node, ast.AugAssign):
+                    operands = (node.target, node.value)
+                else:
+                    continue
+                if any(isinstance(o, ast.Attribute)
+                       and o.attr in ("raw", "_raw") for o in operands):
+                    found.add((path.stem, getattr(fn, "name", "lambda")))
+    assert found == {("scalars", "_product"), ("scalars", "_quotient")}
 
 
 # -- rational functions by trial division -------------------------------------
@@ -683,6 +726,14 @@ def test_sympy_boundary_matches_the_int_dicts():
         for kind in KINDS:
             for _ in range(12):
                 check_sympy_boundary(fld, draw(fld, rng, kind), rng)
+        # constants built each way: cached and uncached ints, a sum, and
+        # products and quotients whose view came from sympy's cancel
+        third, three = fld.convert(Fraction(1, 3)), fld.convert(3)
+        for x in (fld.zero, fld.minus_one, fld.convert(64), fld.convert(-65),
+                  fld.convert(2 ** 70), third + Fraction(1, 6), third - 1,
+                  fld.convert(-4) * third, third / fld.convert(-4),
+                  three / three):
+            check_sympy_boundary(fld, x, rng)
     # a vanishing denominator
     fld = scalar_field(("c",))
     c = fld.param("c")
