@@ -1,12 +1,14 @@
 """Command line driver: check, ope, reduce, basis, character, solve.
 
-Exit codes: 0 success, 1 failed checks or an unusable solution space,
-2 bad input (usage, unreadable file, parse or expression errors).
+Exit codes: 0 success, 1 failed checks, an unusable solution space or a
+stdout closed before all output was written (`nlca ... | head`), 2 bad
+input (usage, unreadable file, parse or expression errors).
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -230,7 +232,16 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # output still buffered meets a closed stdout here, not at shutdown
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: the rest of the output, the flush at
+        # shutdown included, goes quietly to devnull
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     except _CheckFailure:
         return 1
     except ParseError as ex:

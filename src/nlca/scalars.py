@@ -28,28 +28,30 @@ new numerator and denominator is one of those factors, so trial division
 by them, then by the integer contents, gives the canonical form with no
 gcd.  A product with ±1 is the other operand or its negation.  A quotient
 is a product with the inverse, whose denominator is the divisor's
-numerator, factored there.  The constant ints in [-64, 64] are cached
-Scalars.
+numerator, factored there; a quotient by a constant, another constant
+included, is a product with its inverse on Python ints, like a product
+with a Fraction.  The constant ints in [-64, 64] are cached Scalars.
 
-sympy keeps three jobs.  Scalar.raw is a view of any Scalar as an element
-of sympy's sparse rational function field, built on first read and
-cached, and Scalar(field, element) wraps a canonical sympy element (every
-result of sympy's field arithmetic is one).  A denominator of total
-degree 2 or more is factored by sympy's factor_list; one of total degree
-1 is irreducible and is its own factor.  A product or quotient of two
-constant Scalars goes through sympy's operators on their views, which
-reach the canonical form with `cancel`, a polynomial gcd.
+sympy is imported on first use, in ScalarField._field, which builds the
+field as sympy's sparse rational function field.  Importing nlca loads
+none of it, nor does parsing a table that multiplies no two constants
+and has no denominator of total degree 2 or more.  Three things still
+need it.  Scalar.raw is a view of any Scalar as an element of that
+field, built on first read and cached, and Scalar(field, element) wraps
+a canonical sympy element (every result of sympy's field arithmetic is
+one).  A denominator of total degree 2 or more is factored by sympy's
+factor_list; one of total degree 1 is irreducible and is its own factor.
+A product of two constant Scalars goes through sympy's operators on
+their views, which reach the canonical form with `cancel`, a polynomial
+gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-
-from sympy import QQ
-from sympy.polys.fields import field as _sympy_field
-from sympy.polys.orderings import grlex
 
 
 class ScalarError(Exception):
@@ -82,6 +84,24 @@ def _grlex(exps):
     return sum(exps), exps
 
 
+def _monomial_ops(k: int):
+    """The product and exact quotient (None if not divisible) of exponent
+    tuples of length k, generated for k as sympy's MonomialOps does them:
+    unpacked with no loop, about three times as fast as a map over the
+    pairs."""
+    pairs = [("a%d" % i, "b%d" % i) for i in range(k)]
+    unpack = " [%s] = A\n [%s] = B\n" % (
+        ", ".join(a for a, _ in pairs), ", ".join(b for _, b in pairs))
+    src = ("def mul(A, B):\n" + unpack
+           + " return (%s)\n" % "".join("%s + %s, " % p for p in pairs)
+           + "def div(A, B):\n" + unpack
+           + "".join(" if %s < %s: return None\n" % p for p in pairs)
+           + " return (%s)\n" % "".join("%s - %s, " % p for p in pairs))
+    ns = {}
+    exec(src, ns)
+    return ns["mul"], ns["div"]
+
+
 class ScalarField:
     """The field Q(p1, ..., pk).  Use scalar_field() to construct."""
 
@@ -92,13 +112,11 @@ class ScalarField:
         if len(set(params)) != len(params):
             raise ScalarError("duplicate parameter names in %r" % (params,))
         self.params = params
-        self._field = _sympy_field(list(params), QQ, order=grlex)[0]
-        ring = self._field.ring
         # exponent tuples: the constant one, product and exact quotient
         # (None if not divisible), and the graded-lex key, which for one
         # parameter is the tuples' own order
-        self._zm = ring.zero_monom
-        self._mul, self._div = ring.monomial_mul, ring.monomial_div
+        self._zm = (0,) * len(params)
+        self._mul, self._div = _monomial_ops(len(params))
         self._key = _grlex if len(params) > 1 else None
         # the cached constants, by value: _product and _negate test for ±1
         # with `is`
@@ -108,6 +126,15 @@ class ScalarField:
 
     def __repr__(self):
         return "ScalarField(%s)" % (", ".join(self.params) or "Q")
+
+    @cached_property
+    def _field(self):
+        """This field as sympy's rational function field, built on first
+        use: the one place that imports sympy."""
+        from sympy import QQ
+        from sympy.polys.fields import field
+        from sympy.polys.orderings import grlex
+        return field(list(self.params), QQ, order=grlex)[0]
 
     def param(self, name: str) -> "Scalar":
         if name not in self.params:
@@ -155,7 +182,7 @@ class Scalar:
         if self._raw is None:
             # built directly: ring.from_dict converts every coefficient
             f = self.field._field
-            poly, q = f.ring.dtype, QQ.dtype
+            poly, q = f.ring.dtype, f.ring.domain.dtype
             self._raw = f.raw_new(
                 *(poly({m: q(c) for m, c in p.items()})
                   for p in (self._num, self._den)))
@@ -549,14 +576,16 @@ def _times(fld, an, ad, fa, bn, bd, fb) -> Scalar:
 
 
 def _quotient(x: Scalar, y: Scalar) -> Scalar:
-    """x / y: x times the inverse of y, whose denominator is factored."""
+    """x / y: by a constant, x times its inverse on ints; else x times the
+    inverse of y, whose denominator is factored."""
     fld = x.field
     if not y:
         raise ScalarError("division by zero")
     if not x:
         return fld.zero
-    if _is_const(x) and _is_const(y):
-        return _const_of(fld, x.raw / y.raw)
+    if _is_const(y):
+        n, d = y._den[fld._zm], y._num[fld._zm]
+        return _scaled(x, n, d) if d > 0 else _scaled(x, -n, -d)
     num, den = y._num, y._den
     if num[_lead(fld, num)] < 0:
         num, den = _pneg(num), _pneg(den)

@@ -601,6 +601,25 @@ def test_usage_and_input_errors(tmp_path, capsys):
     assert "--pin" in err
 
 
+def test_closed_stdout_exits_1_quietly():
+    # the reader of stdout is gone before any output: a long character
+    # line fails while printing, the short check report at main's flush;
+    # neither is bad input, and the flush at shutdown stays quiet
+    env = dict(os.environ, PYTHONPATH=str(Path(nlca.__file__).parent.parent))
+    for argv in (["character", bundled_path("virasoro"), "--max-weight",
+                  "400"],
+                 ["check", bundled_path("free_boson")]):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nlca"] + argv,
+                                  stdout=w, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (1, b""), argv
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch, tmp_path):
     # calls in one process print what a fresh interpreter, or the golden
     # file, prints, and the argument parser is built once

@@ -4,13 +4,15 @@ Every Scalar, a constant included, is kept as int dicts, and its sympy
 view, .raw, must agree with them.  Scalar products with ±1 skip all
 arithmetic; every sum, difference, negation and power, and every product
 and quotient with a non-constant operand, is reduced by trial division
-over its denominators' factors and builds no sympy element; only
-products and quotients of two constant Scalars keep sympy's cancel; a
-product with an int or Fraction (the closed forms' rational weights,
-which the engine no longer converts) runs on Python ints; a denominator
-of total degree 1 is its own factor, without sympy's factor_list;
-generator metadata is kept in integer units (ranks, degree and weight
-units, parity bits).  Each must give the very value, rendering and hash
+over its denominators' factors and builds no sympy element; a quotient
+by a constant Scalar is a product with its inverse on Python ints, and
+only products of two constants keep sympy's cancel; a product with an
+int or Fraction (the closed forms' rational weights, which the engine no
+longer converts) runs on Python ints; each field's product and quotient
+of exponent tuples is generated code, as in sympy; a denominator of
+total degree 1 is its own factor, without sympy's factor_list; generator
+metadata is kept in integer units (ranks, degree and weight units,
+parity bits).  Each must give the very value, rendering and hash
 of the plain computation (down to whole jacobiators and normal forms),
 and every check built on the integer units must still fire, with the
 same message.
@@ -284,14 +286,17 @@ def test_no_cancel_with_a_constant_or_two_polynomials(monkeypatch):
         x / y, y / x
         x / constants[0], constants[0] / x
     assert len(calls) == 0
-    # products and quotients of two constants keep sympy's path until the
-    # benchmark's peak_rss_mb stops growing with throughput (ROADMAP
-    # item 1)
-    for op in (operator.mul, operator.truediv):
-        del calls[:]
-        for x, y in zip(constants, constants[::-1]):
-            op(x, y)
-        assert len(calls) > 0
+    # quotients and negative powers of two constants run on ints
+    del calls[:]
+    for x, y in zip(constants, constants[::-1]):
+        x / y, y / x, x ** -1, y ** -3
+    assert len(calls) == 0
+    # products of two constants keep sympy's path until the benchmark's
+    # peak_rss_mb stops growing with throughput (ROADMAP item 1)
+    del calls[:]
+    for x, y in zip(constants, constants[::-1]):
+        x * y
+    assert len(calls) > 0
 
 
 SYMPY_BUILDERS = ((PolyElement, "__mul__"), (PolyElement, "__add__"),
@@ -347,20 +352,21 @@ def test_no_sympy_element_with_a_non_constant_operand(monkeypatch):
         for q in RATIONALS:
             x * q, q * x
     assert calls == []
-    # products and quotients of two constants keep sympy's path until the
-    # benchmark's peak_rss_mb stops growing with throughput (ROADMAP
-    # item 1)
+    # so do quotients and negative powers of two constants
     nonzero = [x for x in constants if x]
-    for op in (operator.mul, operator.truediv):
-        del calls[:]
-        for x, y in zip(nonzero, nonzero[::-1]):
-            op(x, y)
-        assert calls
+    for x, y in zip(nonzero, nonzero[::-1]):
+        x / y, y / x, x ** -1, y ** -3
+    assert calls == []
+    # products of two constants keep sympy's path until the benchmark's
+    # peak_rss_mb stops growing with throughput (ROADMAP item 1)
+    for x, y in zip(nonzero, nonzero[::-1]):
+        x * y
+    assert calls
 
 
 def test_only_constant_products_do_arithmetic_on_the_view():
-    """The one path left on sympy's arithmetic: scalars._product and
-    _quotient, on the .raw views of two constants."""
+    """The one path left on sympy's arithmetic: scalars._product, on the
+    .raw views of two constants."""
     found = set()
     for path in sorted(Path(nlca.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -379,7 +385,7 @@ def test_only_constant_products_do_arithmetic_on_the_view():
                 if any(isinstance(o, ast.Attribute)
                        and o.attr in ("raw", "_raw") for o in operands):
                     found.add((path.stem, getattr(fn, "name", "lambda")))
-    assert found == {("scalars", "_product"), ("scalars", "_quotient")}
+    assert found == {("scalars", "_product")}
 
 
 # -- rational functions by trial division -------------------------------------
@@ -726,8 +732,9 @@ def test_sympy_boundary_matches_the_int_dicts():
         for kind in KINDS:
             for _ in range(12):
                 check_sympy_boundary(fld, draw(fld, rng, kind), rng)
-        # constants built each way: cached and uncached ints, a sum, and
-        # products and quotients whose view came from sympy's cancel
+        # constants built each way: cached and uncached ints, a sum,
+        # products whose view came from sympy's cancel, and quotients on
+        # ints
         third, three = fld.convert(Fraction(1, 3)), fld.convert(3)
         for x in (fld.zero, fld.minus_one, fld.convert(64), fld.convert(-65),
                   fld.convert(2 ** 70), third + Fraction(1, 6), third - 1,
@@ -803,6 +810,70 @@ def test_non_rational_multipliers_still_raise(virasoro):
             lx.scale(s)
         with pytest.raises(ScalarError):
             _add_scaled({}, x, s)
+
+
+# -- exponent tuples and constant quotients, without sympy --------------------
+
+def test_monomial_ops_match_sympy_seeded():
+    """Each field's generated product and exact quotient of exponent
+    tuples against sympy's, for 0 to 6 parameters, with quotients on each
+    side of divisibility."""
+    rng = random.Random(3131)
+    for k in range(7):
+        fld = scalar_field(tuple("p%d" % i for i in range(k)))
+        ring = fld._field.ring
+        assert fld._zm == ring.zero_monom
+        for _ in range(150):
+            a, b = (tuple(rng.randrange(4) for _ in range(k))
+                    for _ in range(2))
+            ab = fld._mul(a, b)
+            assert ab == ring.monomial_mul(a, b)
+            assert fld._div(a, b) == ring.monomial_div(a, b)
+            assert fld._div(ab, b) == ring.monomial_div(ab, b) == a
+            assert fld._div(b, b) == fld._zm
+            # ab less one x_i: still divisible by a exactly when b has x_i
+            for i in range(k):
+                if ab[i]:
+                    short = tuple(e - (j == i) for j, e in enumerate(ab))
+                    want = ring.monomial_div(short, a)
+                    assert fld._div(short, a) == want
+                    assert (want is None) == (b[i] == 0)
+
+
+def test_constant_quotients_match_fractions_seeded():
+    """A quotient of two constants, and a constant to a negative power, on
+    ints, against Fraction and sympy's division; a zero divisor still
+    raises."""
+    rng = random.Random(3737)
+    values = [Fraction(v) for v in (0, 1, -1, 2, -3, 64, -64, 65, 2 ** 70,
+                                    -(2 ** 70) + 1)]
+    values += [Fraction(-7, 6), Fraction(2 ** 64 + 1, -3),
+               Fraction(-(2 ** 65 + 3), 2 ** 70 + 1)]
+    values += [random_coeff(rng) for _ in range(10)]
+    values += [Fraction(rng.randrange(-10 ** 20, 10 ** 20),
+                        rng.randrange(1, 10 ** 20)) for _ in range(5)]
+    for params in FIELDS:
+        fld = scalar_field(params)
+        for q, r in product(values, repeat=2):
+            x, y = fld.convert(q), fld.convert(r)
+            if not r:
+                for quotient in (lambda: x / y, lambda: q / y,
+                                 lambda: y ** -2):
+                    with pytest.raises(ScalarError,
+                                       match="^division by zero$"):
+                        quotient()
+                continue
+            got, want = x / y, q / r
+            assert got == want and hash(got) == hash(want)
+            assert str(got) == _fmt_q(want)
+            assert_same(got, Scalar(fld, x.raw / y.raw))
+            assert_same(q / y, got)
+            assert_same(x / r, got)
+        for r in values:
+            if r:
+                for n in (1, 2, 3):
+                    got = fld.convert(r) ** -n
+                    assert got == r ** -n and str(got) == _fmt_q(r ** -n)
 
 
 # -- generator metadata in integer units -------------------------------------
