@@ -14,7 +14,9 @@ and ("p", A, B) holds P(A, B) for monomials A, B, except the concatenations
 N(1, B), N(A, 1) and N(a, B), neither stored nor counted in stats;
 ("lie", a, b) holds the commutator lie(a, b), the integral of [a_lambda b]
 over [-T, 0], of two T^n-generators in closed form (_lie), which the PBW
-swap step reads; and ("no", E) holds the normal form of the word E that a
+swap step reads; ("sl", A, B) holds the skewsymmetry defect sl(A, B), so
+the skew check's defects decide which Jacobi nested brackets are read off
+(_nested); and ("no", E) holds the normal form of the word E that a
 pbw.Reducer built on the Engine computed.  A lambda-polynomial is a dense
 list of TPoly coefficients indexed by the lambda-power, the shape
 Presentation.bracket_r returns; sums are built in place in term dicts the
@@ -22,9 +24,9 @@ caller owns, never in a memoized entry.  Only the public methods wrap a
 result in an LPoly, to name its variable.  The closed forms' rational
 weights (1/(m+1), Beta values, binomials, signs) stay ints and Fractions,
 which a Scalar multiplies on Python ints, with no conversion to a Scalar.
-Each new N, P or lie entry is checked against its degree bound,
-deg N(A,B) <= deg A + deg B and deg P(A,B), deg lie(a,b) < deg A + deg B,
-before _keep stores it.
+Each new N, P, lie or sl entry is checked against its degree bound,
+deg N(A,B) <= deg A + deg B and deg P(A,B), deg sl(A,B), deg lie(a,b) <
+deg A + deg B, before _keep stores it.
 
 NLCA_CACHE_LIMIT, if set and not empty, is a non-negative integer: an
 Engine wipes its whole memo when it holds that many entries and one more
@@ -68,7 +70,8 @@ class Engine:
         self.cache_limit = _cache_limit()
         self._memo: dict = {}
         self.stats = {"n_calls": 0, "p_calls": 0, "lie_calls": 0,
-                      "n_hits": 0, "p_hits": 0, "lie_hits": 0}
+                      "sl_calls": 0, "n_hits": 0, "p_hits": 0,
+                      "lie_hits": 0, "sl_hits": 0}
 
     # -- public operations ---------------------------------------------------
 
@@ -284,18 +287,52 @@ class Engine:
                 for m, W in enumerate(self._p_poly(x, Y)):
                     _lacc(acc, n + m + 1, W, s * _beta(n, m))
 
+    def _nested(self, A: TMono, B: TMono, F, T_acts: bool) -> list:
+        """[F(Z_n) for each n], Z_n the x^n coefficient of P_x(A, B) and F
+        a linear map to a coefficient list in y with F(T Z) = D F(Z), D
+        being y + T (T acting on the coefficients) when T_acts, else -y.
+        When A == B is a T^n-generator with sl(A, A) = 0 and p = p(A, A),
+        the x^n coefficient of sl(A, A) for each n with p (-1)^n = 1 solves
+        to Z_n = -(p/2) sum_{m>n} (-1)^m C(m,n) T^(m-n) Z_m, so F(Z_n) is
+        read off the F(Z_m) instead of computed."""
+        coeffs = self._p(A, B)
+        derive = A == B and self._skew_exact(A)
+        p = self.pres.parity_sign(A, B)
+        out: list = [None] * len(coeffs)
+        for n in reversed(range(len(coeffs))):
+            if not (derive and p * (-1) ** n == 1):
+                out[n] = F(coeffs[n]) if coeffs[n] else []
+                continue
+            acc: list[dict] = []
+            for m in range(n + 1, len(coeffs)):
+                k, w = m - n, Fraction(-p * (-1) ** m * comb(m, n), 2)
+                for i, W in enumerate(out[m]):
+                    if not T_acts:
+                        _lacc(acc, i + k, W, w * (-1) ** k)
+                        continue
+                    for r in range(k + 1):
+                        _lacc(acc, i + r, apply_T(W, k - r), w * comb(k, r))
+            out[n] = _coeff_list(self.pres, acc)
+        return out
+
+    def _skew_exact(self, X: TMono) -> bool:
+        """Whether X is a single T^n-generator with sl(X, X) = 0 exactly."""
+        return len(X) == 1 and not self._sl_mono(X, X)
+
     def _jac_mono(self, A: TMono, B: TMono, C: TMono) -> dict:
         """The jacobiator of three monomials as {(i, j): term dict}, the
         lambda^i mu^j coefficients.  When A == B the second term,
         -p(A,A) P_mu(A, P_lambda(A,C)), is the first with lambda and mu
-        exchanged, so it is read off the first instead of recomputed."""
+        exchanged, so it is read off the first instead of recomputed.  Each
+        term nests a P(X, Y) read in part off skewsymmetry when X == Y
+        (_nested): by sesquilinearity in the outer bracket's second
+        argument for the first and second terms, its first for the third."""
         pres = self.pres
         acc: dict = {}
-        A_poly = self._mono(A)
-        for j, Z in enumerate(self._p(B, C)):
-            if not Z:
-                continue
-            for i, W in enumerate(self._p_poly(A_poly, Z)):
+        A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)
+        first = self._nested(B, C, lambda Z: self._p_poly(A_poly, Z), True)
+        for j, Ws in enumerate(first):
+            for i, W in enumerate(Ws):
                 _add_scaled(acc.setdefault((i, j), {}), W)
         sign = pres.parity_sign(A, B)
         if A == B:
@@ -305,17 +342,14 @@ class Engine:
                               for e, d in acc.items()]:
                 _add_scaled(acc.setdefault((j, i), {}), d, -sign)
         else:
-            B_poly = self._mono(B)
-            for i, Z in enumerate(self._p(A, C)):
-                if not Z:
-                    continue
-                for j, W in enumerate(self._p_poly(B_poly, Z)):
+            second = self._nested(A, C, lambda Z: self._p_poly(B_poly, Z),
+                                  True)
+            for i, Ws in enumerate(second):
+                for j, W in enumerate(Ws):
                     _add_scaled(acc.setdefault((i, j), {}), W, -sign)
-        C_poly = self._mono(C)
-        for i, Z in enumerate(self._p(A, B)):
-            if not Z:
-                continue
-            for n, W in enumerate(self._p_poly(Z, C_poly)):
+        third = self._nested(A, B, lambda Z: self._p_poly(Z, C_poly), False)
+        for i, Ws in enumerate(third):
+            for n, W in enumerate(Ws):
                 if not W:
                     continue
                 for k in range(n + 1):
@@ -326,13 +360,22 @@ class Engine:
     # -- defect kernels ------------------------------------------------------
 
     def _sl_mono(self, A: TMono, B: TMono) -> list[TPoly]:
+        self.stats["sl_calls"] += 1
+        key = ("sl", A, B)
+        hit = self._memo.get(key)
+        if hit is not None:
+            self.stats["sl_hits"] += 1
+            return hit
+        pres = self.pres
         acc: list[dict] = []
         for m, X in enumerate(self._p(A, B)):
             _lacc(acc, m, X)
-        sign = self.pres.parity_sign(A, B)
+        sign = pres.parity_sign(A, B)
         for m, X in enumerate(skew_coeffs(self._p(B, A), sign)):
             _lacc(acc, m, X)
-        return _coeff_list(self.pres, acc)
+        out = _coeff_list(pres, acc)
+        return self._keep(key, out, (m for X in out for m in X.terms),
+                          pres.mono_units(A) + pres.mono_units(B))
 
     def _sn_mono(self, A: TMono, B: TMono, C: TMono) -> TPoly:
         A_poly, B_poly, C_poly = self._mono(A), self._mono(B), self._mono(C)

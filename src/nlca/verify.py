@@ -5,7 +5,9 @@ conformal weight bookkeeping and the grading bound (both settled by
 validation), and the Jacobi identity modulo the PBW kernel.  run_all
 times each check and builds the one Engine and Reducer that skew and
 jacobi share; when skew passed, jacobi mirrors each triple (b, a, c) with
-b declared after a from (a, b, c) instead of computing it.  A check
+b declared after a from (a, b, c) instead of computing it.  The Engine
+reads the skew check's sl(a, a) = 0: a jacobiator nests only half the
+lambda-coefficients of P(a, a) in a bracket and derives the rest.  A check
 carries witnesses for failures; a jacobiator that is nonzero before
 reduction but vanishes after is recorded as a note, since that is the
 expected non-linear behaviour.

@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from nlca import ansatz
 from nlca.algebra import Presentation, RGen, TPoly, apply_T, render_tpoly
 from nlca.calculus import CalculusError, Engine, _beta, _int_minus_T
 from nlca.formal import LPoly
-from nlca.frontend import load_bundled
+from nlca.frontend import load_bundled, parse_path
+from nlca.pbw import Reducer
+from nlca.verify import check_jacobi, check_skew
 
 from builders import (bundled_names, degree, make_broken_skew_virasoro,
                       memo_terms, weights)
@@ -181,6 +185,81 @@ def test_jacobiator_with_equal_first_operands_matches_pbracket(
         assert j == pbracket_jacobiator(e, x, x, z), (p.name, str(x), str(z))
     assert not engines[id(skewed)].jacobiator(
         skewed.gen("L"), skewed.gen("L"), skewed.gen("L")).is_zero
+
+
+def _read_off_tables():
+    golden = Path(__file__).parent / "golden"
+    return ([load_bundled(name) for name in bundled_names()]
+            + [parse_path(golden / name) for name in
+               ("w3_perturbed.nlca", "super_virasoro.nlca")]
+            + [make_broken_skew_virasoro()])
+
+
+def _p_keys(e):
+    return {k for k in e._memo if k[0] == "p"}
+
+
+def test_nested_brackets_read_off_skew_match_plain_path():
+    # a jacobiator reads half the coefficients of a nested P(X, X) off the
+    # other half when sl(X, X) = 0; the plain path computes them all.  X
+    # takes each place a repeated operand can: a generator, its T and T^2
+    # lifts, and a seeded sum of T^n-generators
+    rng = random.Random(2903)
+    fewer = set()
+    for p in _read_off_tables():
+        derived, plain = Engine(p), Engine(p)
+        plain._skew_exact = lambda X: False
+        gens = [p.gen(g.name) for g in p.generators]
+        xs = [p.gen(g.name, n) for g in p.generators for n in (1, 2)]
+        xs.append(random_tensor(p, rng, terms=3, max_factors=1,
+                                allow_empty=False))
+        later = [t for x, z in product(xs, gens)
+                 for t in ((x, x, z), (z, x, x), (x, z, x))]
+        for n, (x, y, z) in enumerate(list(product(gens, repeat=3)) + later):
+            if n == len(gens) ** 3:
+                assert _p_keys(derived) <= _p_keys(plain), p.name
+                if len(_p_keys(derived)) < len(_p_keys(plain)):
+                    fewer.add(p.name)
+            assert derived.jacobiator(x, y, z) == plain.jacobiator(x, y, z), \
+                (p.name, str(x), str(y), str(z))
+    # nothing is read off the table that is not skewsymmetric (no name);
+    # the free fields' and affine_sl2's self-brackets have no nonzero
+    # coefficient that skewsymmetry fixes
+    assert fewer == {"virasoro", "w3", "w3_ansatz", "w3_perturbed",
+                     "super_virasoro"}
+
+
+def test_check_jacobi_on_w3_reads_off_composite_brackets():
+    # 42 P entries when every nested coefficient is computed; P(W, W)'s
+    # :T L L:, :L T L: and :T^3 L: are read off its lambda^1 and lambda^3
+    # coefficients and never bracketed
+    p = load_bundled("w3")
+    e = Engine(p)
+    check_skew(p, e)
+    assert (e.stats["sl_calls"], e.stats["sl_hits"]) == (4, 0)
+    check_jacobi(p, e, Reducer(e), skew_ok=True)
+    assert e.stats["sl_hits"] > 0
+    keys = _p_keys(e)
+    assert len(keys) == 22
+    never = {p.mono(("L", 1), "L"), p.mono("L", ("L", 1)), p.mono(("L", 3))}
+    assert not any(A in never or B in never for _, A, B in keys)
+
+
+def test_solve_w3_ansatz_stores_fewer_brackets(monkeypatch):
+    # solve's extraction and re-verification stored 82 P entries when
+    # every nested coefficient was computed
+    stored = []
+    keep = Engine._keep
+
+    def counting(self, key, *args):
+        stored.append(key[0])
+        return keep(self, key, *args)
+    monkeypatch.setattr(Engine, "_keep", counting)
+    skipped = []
+    res = ansatz.solve(load_bundled("w3_ansatz"), ("delta", Fraction(1, 6)),
+                       skipped)
+    assert res.report.ok and skipped == [("W", "W", "W")]
+    assert stored.count("p") <= 41
 
 
 # -- identities --------------------------------------------------------------

@@ -63,6 +63,21 @@ def test_check_json_of_invalid_tables_matches_golden(capsys):
         assert out == (GOLDEN / ("check_%s.json" % name)).read_text(), name
 
 
+def test_check_super_virasoro(tmp_path, capsys):
+    # G is odd, so skewsymmetry fixes the even lambda-powers of [G G]; with
+    # c/6 in place of c/3 the central terms of Jacobi no longer cancel
+    path = GOLDEN / "super_virasoro.nlca"
+    code, out, err = run(capsys, ["check", str(path), "--json"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "check_super_virasoro.json").read_text()
+    f = tmp_path / "sixth.nlca"
+    f.write_text(path.read_text().replace("(c/3)", "(c/6)"))
+    code, out, err = run(capsys, ["check", str(f)])
+    assert code == 1
+    assert "skew       pass" in out and "jacobi     fail" in out
+    assert "witness [G, G, L]" in out
+
+
 def test_check_ansatz_file_fails(capsys):
     code, out, err = run(capsys, ["check", bundled_path("w3_ansatz")])
     assert code == 1
