@@ -230,9 +230,9 @@ def test_nested_brackets_read_off_skew_match_plain_path():
 
 
 def test_check_jacobi_on_w3_reads_off_composite_brackets():
-    # 42 P entries when every nested coefficient is computed; P(W, W)'s
-    # :T L L:, :L T L: and :T^3 L: are read off its lambda^1 and lambda^3
-    # coefficients and never bracketed
+    # 42 P entries when every nested coefficient is computed; :T L L:,
+    # :L T L: and :T^3 L: sit in the lambda^0 coefficient of P(W, W), whose
+    # brackets are read off those of its odd lambda-powers
     p = load_bundled("w3")
     e = Engine(p)
     check_skew(p, e)
